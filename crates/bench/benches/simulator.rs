@@ -34,42 +34,5 @@ fn bench_simulator(c: &mut Criterion) {
     g.finish();
 }
 
-/// Per-section cost of the windowed pipeline (DESIGN §16): the forced
-/// pipeline (every slot through fill + timing passes) against the scalar
-/// drain and the production stretch dispatch, plus the spawn-free
-/// single-threaded configuration where batching is purest.
-fn bench_window_passes(c: &mut Criterion) {
-    let w = workloads::gcc(Scale::Small);
-    let trace = Trace::generate(w.program.clone(), w.step_budget).expect("traces");
-    let table = profile_pairs(&trace, &ProfileConfig::default()).table;
-
-    let mut g = c.benchmark_group("sim_window_pass_breakdown");
-    g.throughput(Throughput::Elements(trace.len() as u64));
-    g.bench_function("single_threaded_batched256", |b| {
-        b.iter(|| {
-            Simulator::new(&trace, SimConfig::single_threaded())
-                .with_batch_slots(256)
-                .run()
-        })
-    });
-    g.bench_function("single_threaded_scalar", |b| {
-        b.iter(|| Simulator::new(&trace, SimConfig::single_threaded()).run_reference())
-    });
-    g.bench_function("paper16_production_dispatch", |b| {
-        b.iter(|| Simulator::with_table(&trace, SimConfig::paper(16), &table).run())
-    });
-    g.bench_function("paper16_forced_batched64", |b| {
-        b.iter(|| {
-            Simulator::with_table(&trace, SimConfig::paper(16), &table)
-                .with_batch_slots(64)
-                .run()
-        })
-    });
-    g.bench_function("paper16_scalar_reference", |b| {
-        b.iter(|| Simulator::with_table(&trace, SimConfig::paper(16), &table).run_reference())
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_simulator, bench_window_passes);
+criterion_group!(benches, bench_simulator);
 criterion_main!(benches);

@@ -17,9 +17,8 @@
 //! sections coexist. A `throughput` section records
 //! `sim_instructions_per_sec` (dynamic instructions the paper-config
 //! simulation retires per wall-second). Derived ratios record the
-//! before/after story: `reach_speedup` (naive / word-parallel),
-//! `warm_cache_speedup` (cold / warm suite load) and `sim_speedup`
-//! (previously committed / measured `sim_paper16_gcc_ms`).
+//! before/after story: `reach_speedup` (naive / word-parallel) and
+//! `warm_cache_speedup` (cold / warm suite load).
 //!
 //! Flags:
 //!
@@ -55,17 +54,6 @@ fn time_ms<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
             ms
         })
         .fold(f64::MAX, f64::min)
-}
-
-/// The committed `sim_paper16_gcc_ms` for `scale_key`, if `path` holds one.
-fn committed_sim_ms(path: &str, scale_key: &str) -> Option<f64> {
-    let doc: serde_json::Value = serde_json::from_str(&std::fs::read_to_string(path).ok()?).ok()?;
-    let ms = doc
-        .get("scales")?
-        .get(scale_key)?
-        .get("kernels")?
-        .get("sim_paper16_gcc_ms")?;
-    <f64 as serde::Deserialize>::from_value(ms).ok()
 }
 
 fn main() -> ExitCode {
@@ -147,11 +135,6 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     // simulation retires per wall-clock second.
     let sim_insts = bench.trace().len() as u64;
     let sim_ips = sim_insts as f64 / (sim / 1e3);
-    // Per-section pass breakdown of the windowed engine on the same
-    // kernel: where inside the hot loop the sim time goes. Timer reads add
-    // overhead, so the per-pass sum exceeds `sim_paper16_gcc_ms` — the
-    // split, not the total, is the signal.
-    let (_, passes) = bench.run_timed(SimConfig::paper(16), &table)?;
 
     // Suite load, cold vs warm, in a private store dir.
     let dir = std::env::temp_dir().join(format!("specmt-benchbin-cache-{}", std::process::id()));
@@ -181,27 +164,12 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     ];
     let reach_speedup = reach_naive / reach_word;
     let warm_speedup = load_cold / load_warm;
-    // Engine speed-up vs the previously committed section (1.0 when there
-    // is nothing to compare against) — regenerating after an engine change
-    // records the before/after ratio, like `reach_speedup` does for the
-    // reach rewrite.
-    let prev_sim_ms = committed_sim_ms(&out_path, &scale_key);
-    let sim_speedup = prev_sim_ms.map_or(1.0, |p| p / sim);
     for (name, ms) in &kernels {
         println!("{name:<26} {ms:>10.3} ms");
     }
     println!("sim_instructions_per_sec   {:>10.0} /s ({sim_insts} dyn insts)", sim_ips);
     println!("reach_speedup              {reach_speedup:>10.2} x (naive / word-parallel)");
     println!("warm_cache_speedup         {warm_speedup:>10.2} x (cold / warm suite load)");
-    println!("sim_speedup                {sim_speedup:>10.2} x (vs committed sim_paper16_gcc_ms)");
-    println!(
-        "sim_pass_breakdown          fill {:.3} / timing {:.3} / scalar {:.3} ms ({} batches, {} scalar steps)",
-        passes.fill_ns as f64 / 1e6,
-        passes.timing_ns as f64 / 1e6,
-        passes.scalar_ns as f64 / 1e6,
-        passes.batches,
-        passes.scalar_steps,
-    );
 
     // --- Compare or persist --------------------------------------------
     let committed: Option<serde_json::Value> = std::fs::read_to_string(&out_path)
@@ -259,17 +227,9 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
             "sim_instructions_per_sec": sim_ips,
             "sim_dynamic_instructions": sim_insts,
         },
-        "passes": {
-            "fill_ns": passes.fill_ns,
-            "timing_ns": passes.timing_ns,
-            "scalar_ns": passes.scalar_ns,
-            "batches": passes.batches,
-            "scalar_steps": passes.scalar_steps,
-        },
         "derived": {
             "reach_speedup": reach_speedup,
             "warm_cache_speedup": warm_speedup,
-            "sim_speedup": sim_speedup,
         },
     });
     let mut scales: Vec<(String, serde_json::Value)> = match committed.as_ref().and_then(|v| v.get("scales")) {
@@ -282,7 +242,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     }
     let doc = json!({
         "schema": "specmt-pipeline-bench/v1",
-        "note": "median wall-clock ms per kernel; regenerate with `cargo run --release -p specmt-bench --bin bench` (SPECMT_SCALE selects the section)",
+        "note": "best-of-N minimum wall-clock ms per kernel; regenerate with `cargo run --release -p specmt-bench --bin bench` (SPECMT_SCALE selects the section)",
         "scales": serde_json::Value::Object(scales),
     });
     std::fs::write(&out_path, serde_json::to_string_pretty(&doc)? + "\n")?;

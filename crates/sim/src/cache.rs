@@ -240,10 +240,9 @@ impl L1Cache {
     /// The timing-independent half of [`access`](L1Cache::access): probes
     /// (and on miss installs) the block containing `addr`, updating tags,
     /// LRU stamps and the hit/miss statistics exactly as `access` would,
-    /// and returns whether it hit. The windowed engine runs these probes as
-    /// a batched pass over a window of memory operations, then recovers
-    /// `access`'s timing per operation from [`hit_time`](L1Cache::hit_time)
-    /// / [`miss_time`](L1Cache::miss_time) inside the timing recurrence.
+    /// and returns whether it hit. `access` is this probe followed by
+    /// [`hit_time`](L1Cache::hit_time) or [`miss_time`](L1Cache::miss_time),
+    /// the timing-dependent half.
     #[inline]
     pub(crate) fn probe_addr(&mut self, addr: u64) -> bool {
         let block = self.block_of(addr);

@@ -179,37 +179,55 @@ fn every_workload_and_scheme_conserves() {
     assert!(speculative_runs > 20, "only {speculative_runs} runs ever spawned");
 }
 
-/// The windowed engine buffers event emission through a per-window scratch
-/// flushed at batch boundaries; this pins the *order* of the stream, not
-/// just its totals: the windowed run's event sequence must equal the
-/// instruction-at-a-time reference's element for element, alongside the
-/// result itself.
+// Tests in this workspace run with the package dir (crates/core) as CWD.
+const STREAMS_GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/event_streams_tiny.json"
+);
+const STREAMS_GOLDEN: &str = include_str!("golden/event_streams_tiny.json");
+
+/// Order-sensitive FNV-1a over every event's `Debug` form, each followed by
+/// a separator byte so adjacent events cannot run together.
+fn stream_hash(events: &[specmt::obs::Event]) -> String {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for e in events {
+        for b in format!("{e:?}").bytes().chain([0xff]) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    format!("{h:016x}")
+}
+
+/// Pins the *order* of the observed stream, not just its totals: every
+/// (workload, scheme) stream under `paper(16)` must reproduce the event
+/// count and the order-sensitive hash committed in
+/// `tests/golden/event_streams_tiny.json`, captured from the
+/// instruction-at-a-time engine. Regenerate (the run rewrites the file and
+/// then fails) with
+/// `SPECMT_REGEN_ENGINE_GOLDEN=1 cargo test --release --test conservation_laws`.
 #[test]
 fn windowed_event_stream_matches_reference_order() {
+    let mut got: Vec<(String, u64, String)> = Vec::new();
     for case in cases() {
         for (scheme, table) in &case.tables {
             let label = format!("{}/{scheme}", case.name);
-            let cfg = SimConfig::paper(16).with_observe(true);
-
-            let mut windowed = EventLog::new();
-            let rw = Simulator::with_table(&case.trace, cfg.clone(), table)
-                .run_with_sink(&mut windowed)
-                .unwrap_or_else(|e| panic!("{label}: windowed run failed: {e}"));
-            let mut reference = EventLog::new();
-            let rr = Simulator::with_table(&case.trace, cfg, table)
-                .run_reference_with_sink(&mut reference)
-                .unwrap_or_else(|e| panic!("{label}: reference run failed: {e}"));
-
-            assert_eq!(rw, rr, "{label}: windowed result diverges from reference");
-            assert_eq!(
-                windowed.events().len(),
-                reference.events().len(),
-                "{label}: stream lengths diverge"
-            );
-            for (i, (w, r)) in windowed.events().iter().zip(reference.events()).enumerate() {
-                assert_eq!(w, r, "{label}: stream diverges at event {i}");
-            }
+            let mut log = EventLog::new();
+            Simulator::with_table(&case.trace, SimConfig::paper(16).with_observe(true), table)
+                .run_with_sink(&mut log)
+                .unwrap_or_else(|e| panic!("{label}: observed run failed: {e}"));
+            got.push((label, log.events().len() as u64, stream_hash(log.events())));
         }
+    }
+    if std::env::var_os("SPECMT_REGEN_ENGINE_GOLDEN").is_some() {
+        let json = serde_json::to_string_pretty(&got).expect("golden serialises");
+        std::fs::write(STREAMS_GOLDEN_PATH, json + "\n").expect("golden written");
+        panic!("regenerated {STREAMS_GOLDEN_PATH}; rerun without SPECMT_REGEN_ENGINE_GOLDEN");
+    }
+    let golden: Vec<(String, u64, String)> =
+        serde_json::from_str(STREAMS_GOLDEN).expect("stream golden parses");
+    assert_eq!(golden.len(), got.len(), "golden and run cover different streams");
+    for (want, have) in golden.iter().zip(&got) {
+        assert_eq!(want, have, "observed stream diverges from the golden (label, count, hash)");
     }
 }
 

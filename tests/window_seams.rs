@@ -1,27 +1,44 @@
-//! Window-boundary edge cases for the batched pass-per-section engine.
+//! Engine edge cases pinned to a committed golden.
 //!
-//! The windowed pipeline (DESIGN §16) claims bit-identity with the
-//! instruction-at-a-time reference path *at every batch size*, including
-//! the degenerate ones where every pathology lands on a seam:
+//! Each test drives the engine through a corner where timing or policy
+//! state must carry exactly from one instruction, fetch group or thread
+//! window into the next, and compares every [`SimResult`] with
+//! `tests/golden/window_seams_tiny.json`:
 //!
-//! * batches smaller than the fetch width (1–3 slots against a 4-wide
-//!   front end), where fetch-cycle state must carry across every seam,
-//! * a squash/restart (memory-order violation) landing on the last slot
-//!   of a batch, with the restart redirect crossing into the next batch,
-//! * spawn gates (confidence / scoreboard) firing mid-window, where the
-//!   gate must read adaptive state that batching could have staled,
-//! * fault plans injecting at window seams (fault windows drain through
-//!   the scalar path; the handoff must not disturb RNG draw order).
+//! * `batches_smaller_than_fetch_width_are_bit_identical`: the tiny suite
+//!   under the `profile` table on `paper(16)` at fetch widths 1–4, so
+//!   partially consumed fetch cycles carry across short speculative
+//!   windows;
+//! * `violation_squash_on_every_batch_position_is_bit_identical`: a
+//!   speculative load racing a parent store, swept over 9 machines (2/4/8
+//!   units × fetch width 1/2/4) so the violating load lands at different
+//!   fetch-group positions and the squash/restart state is pinned at each;
+//! * `adaptive_gates_mid_window_are_bit_identical`: the `conf-gated` and
+//!   `scoreboard` schemes on the tiny suite, whose gates read confidence
+//!   registers and the pair scoreboard mid-window;
+//! * `fault_plans_at_window_seams_are_bit_identical`: a seeded fault plan
+//!   on the first three built-in schemes, pinning the per-instruction RNG
+//!   draw order and every decision downstream of it;
+//! * `random_programs_windowed_equals_reference`: a proptest over random
+//!   programs and adversarial spawn tables. It has no golden: a run with
+//!   an event sink must return the plain run's result, its stream must
+//!   pass the auditor's conservation laws, and a rerun must be identical.
 //!
-//! `Simulator::with_batch_slots` forces the pipeline on at the given batch
-//! size with no short-stretch scalar fallback, so every seam the dispatch
-//! would normally avoid is exercised deliberately. A proptest sweep then
-//! drives random programs and adversarial spawn tables through random
-//! batch sizes against the reference.
+//! To regenerate after an *intentional* model change:
+//!
+//! ```text
+//! SPECMT_REGEN_ENGINE_GOLDEN=1 cargo test --release --test window_seams
+//! ```
+//!
+//! (Each golden-backed test rewrites its section of the golden and then
+//! fails, so a stale golden can never be committed by accident.)
+
+use std::sync::{Mutex, PoisonError};
 
 use proptest::prelude::*;
 
 use specmt::isa::{Pc, ProgramBuilder, Reg};
+use specmt::obs::{audit, EventLog};
 use specmt::predict::ValuePredictorKind;
 use specmt::sim::{FaultPlan, RemovalPolicy, SimConfig, SimResult, Simulator};
 use specmt::spawn::{
@@ -30,48 +47,78 @@ use specmt::spawn::{
 use specmt::trace::Trace;
 use specmt::workloads::Scale;
 
-/// Forced-pipeline run at `batch` slots vs the scalar reference.
-fn diff(
-    label: &str,
-    trace: &Trace,
-    cfg: &SimConfig,
-    table: &SpawnTable,
-    batch: usize,
-) -> SimResult {
-    let windowed = Simulator::with_table(trace, cfg.clone(), table)
-        .with_batch_slots(batch)
+// Tests in this workspace run with the package dir (crates/core) as CWD.
+const GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/window_seams_tiny.json"
+);
+const GOLDEN: &str = include_str!("golden/window_seams_tiny.json");
+
+fn simulate(label: &str, trace: &Trace, cfg: &SimConfig, table: &SpawnTable) -> SimResult {
+    Simulator::with_table(trace, cfg.clone(), table)
         .run()
-        .unwrap_or_else(|e| panic!("{label}[batch={batch}]: windowed run failed: {e}"));
-    let reference = Simulator::with_table(trace, cfg.clone(), table)
-        .run_reference()
-        .unwrap_or_else(|e| panic!("{label}[batch={batch}]: reference run failed: {e}"));
-    assert_eq!(
-        windowed, reference,
-        "{label}: batch={batch} diverges from the reference path"
-    );
-    reference
+        .unwrap_or_else(|e| panic!("{label}: run failed: {e}"))
 }
 
-/// Batches of 1–3 slots against the paper machine's 4-wide fetch: every
-/// window is smaller than the fetch width, so partially-consumed fetch
-/// cycles cross every seam. 256 is the production size for contrast.
+/// Compares `cells` with the golden entries labelled `section/...`. The
+/// vendored serde has no map impls, so the golden is one sorted list of
+/// (label, result) pairs shared by every test in this file.
+fn pin(section: &str, mut cells: Vec<(String, SimResult)>) {
+    cells.sort_by(|a, b| a.0.cmp(&b.0));
+    let prefix = format!("{section}/");
+    if std::env::var_os("SPECMT_REGEN_ENGINE_GOLDEN").is_some() {
+        // Tests run on parallel threads; each rewrites only its section.
+        static WRITE: Mutex<()> = Mutex::new(());
+        let _guard = WRITE.lock().unwrap_or_else(PoisonError::into_inner);
+        let on_disk = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_default();
+        let mut all: Vec<(String, SimResult)> = serde_json::from_str(&on_disk).unwrap_or_default();
+        all.retain(|(label, _)| !label.starts_with(&prefix));
+        all.extend(cells);
+        all.sort_by(|a, b| a.0.cmp(&b.0));
+        let json = serde_json::to_string_pretty(&all).expect("golden serialises");
+        std::fs::write(GOLDEN_PATH, json + "\n").expect("golden written");
+        panic!("regenerated {section} in {GOLDEN_PATH}; rerun without SPECMT_REGEN_ENGINE_GOLDEN");
+    }
+
+    let golden: Vec<(String, SimResult)> = serde_json::from_str::<Vec<(String, SimResult)>>(GOLDEN)
+        .expect("golden parses")
+        .into_iter()
+        .filter(|(label, _)| label.starts_with(&prefix))
+        .collect();
+    let got_labels: Vec<&str> = cells.iter().map(|(l, _)| l.as_str()).collect();
+    let want_labels: Vec<&str> = golden.iter().map(|(l, _)| l.as_str()).collect();
+    assert_eq!(got_labels, want_labels, "{section}: golden and run cover different cells");
+    for ((label, want), (_, got)) in golden.iter().zip(&cells) {
+        assert_eq!(got, want, "{label}: diverged from the golden");
+    }
+}
+
+/// Fetch widths 1–4 against `paper(16)`'s many short speculative windows:
+/// a window often ends mid fetch group, and the next thread unit's fetch
+/// cycle must start from exactly the carried state.
 #[test]
 fn batches_smaller_than_fetch_width_are_bit_identical() {
     let registry = SchemeRegistry::builtin();
     let params = SchemeParams::default();
+    let mut cells = Vec::new();
     for w in specmt::workloads::suite(Scale::Tiny) {
         let trace = Trace::generate(w.program.clone(), w.step_budget).expect("suite trace");
         let table = registry.select("profile", &trace, &params).expect("profile selects");
-        for batch in [1usize, 2, 3, 7, 256] {
-            diff(w.name, &trace, &SimConfig::paper(16), &table, batch);
+        for fetch_width in 1..=4u32 {
+            let mut cfg = SimConfig::paper(16);
+            cfg.fetch_width = fetch_width;
+            let label = format!("fetch-width/{}/fw{fetch_width}", w.name);
+            let r = simulate(&label, &trace, &cfg, &table);
+            cells.push((label, r));
         }
     }
+    pin("fetch-width", cells);
 }
 
 /// A two-thread program whose speculative thread's load races a store in
-/// the parent: sweeping the batch size walks the violating load across
-/// every batch position, including the last slot of a batch, where the
-/// squash's restart state must survive the seam into the next batch.
+/// the parent. Sweeping the unit count and fetch width moves the violating
+/// load across fetch-group positions; the squash's restart state must
+/// reproduce the golden at each.
 #[test]
 fn violation_squash_on_every_batch_position_is_bit_identical() {
     use specmt::isa::AluOp;
@@ -106,43 +153,50 @@ fn violation_squash_on_every_batch_position_is_bit_identical() {
         origin: PairOrigin::Profile,
     }]);
 
+    let mut cells = Vec::new();
     let mut any_violation = 0u64;
-    for batch in 1..=9usize {
-        let r = diff("violation-sweep", &trace, &SimConfig::paper(4), &table, batch);
-        any_violation += r.violations;
+    for units in [2usize, 4, 8] {
+        for fetch_width in [1u32, 2, 4] {
+            let mut cfg = SimConfig::paper(units);
+            cfg.fetch_width = fetch_width;
+            let label = format!("violation/u{units}/fw{fetch_width}");
+            let r = simulate(&label, &trace, &cfg, &table);
+            any_violation += r.violations;
+            cells.push((label, r));
+        }
     }
     assert!(any_violation > 0, "the racing pair never violated; the sweep is vacuous");
+    pin("violation", cells);
 }
 
 /// Adaptive schemes gate spawns mid-window from state (confidence
-/// registers, the pair scoreboard) that scalar draining keeps exact;
-/// forcing the pipeline must bail those spawn slots out without staling
-/// the gate's reads, at any batch size.
+/// registers, the pair scoreboard) updated by every branch and retire; the
+/// gate decisions and everything downstream must reproduce the golden.
 #[test]
 fn adaptive_gates_mid_window_are_bit_identical() {
     let registry = SchemeRegistry::builtin();
     let params = SchemeParams::default();
     let mut policies = SimConfig::paper(8).with_value_predictor(ValuePredictorKind::Stride);
     policies.min_observed_size = Some(16);
+    let mut cells = Vec::new();
     let mut any_gated = 0u64;
     for w in specmt::workloads::suite(Scale::Tiny) {
         let trace = Trace::generate(w.program.clone(), w.step_budget).expect("suite trace");
         for scheme in ["conf-gated", "scoreboard"] {
             let table = registry.select(scheme, &trace, &params).expect("scheme selects");
-            for batch in [1usize, 5, 64] {
-                let label = format!("{}/{scheme}", w.name);
-                let r = diff(&label, &trace, &policies, &table, batch);
-                any_gated += r.spawns_gated + r.pairs_demoted;
-            }
+            let label = format!("adaptive/{}/{scheme}", w.name);
+            let r = simulate(&label, &trace, &policies, &table);
+            any_gated += r.spawns_gated + r.pairs_demoted;
+            cells.push((label, r));
         }
     }
     assert!(any_gated > 0, "no adaptive gate ever fired; mid-window coverage is vacuous");
+    pin("adaptive", cells);
 }
 
-/// Fault plans draw RNG per instruction, so fault windows route through
-/// the scalar path even when batching is forced; the handoff at the seam
-/// must leave the draw order — and so every downstream decision —
-/// untouched.
+/// Fault plans draw RNG per instruction, so any added, dropped or
+/// reordered draw shifts every later decision; the seeded plan's results
+/// must reproduce the golden exactly.
 #[test]
 fn fault_plans_at_window_seams_are_bit_identical() {
     let plan = FaultPlan {
@@ -159,26 +213,24 @@ fn fault_plans_at_window_seams_are_bit_identical() {
         .with_value_predictor(ValuePredictorKind::Stride)
         .with_removal(RemovalPolicy::relaxed())
         .with_faults(plan);
+    let mut cells = Vec::new();
     let mut any_fault = 0u64;
     for w in specmt::workloads::suite(Scale::Tiny) {
         let trace = Trace::generate(w.program.clone(), w.step_budget).expect("suite trace");
         for &scheme in BUILTIN_SCHEME_NAMES.iter().take(3) {
             let table = registry.select(scheme, &trace, &params).expect("scheme selects");
-            for batch in [1usize, 3, 256] {
-                let label = format!("{}/{scheme}/faulted", w.name);
-                let r = diff(&label, &trace, &cfg, &table, batch);
-                any_fault += r.fault_forced_squashes + r.fault_dropped_spawns;
-            }
+            let label = format!("faults/{}/{scheme}", w.name);
+            let r = simulate(&label, &trace, &cfg, &table);
+            any_fault += r.fault_forced_squashes + r.fault_dropped_spawns;
+            cells.push((label, r));
         }
     }
-    assert!(any_fault > 0, "no fault ever landed; seam coverage is vacuous");
+    assert!(any_fault > 0, "no fault ever landed; the plan coverage is vacuous");
+    pin("faults", cells);
 }
 
-/// Random straight-line/loop programs with adversarial spawn tables: the
-/// production dispatch (`run`) and the forced pipeline at a random batch
-/// size must both reproduce the reference exactly. Raw pair coordinates
-/// are drawn from a fixed range and wrapped onto the generated program, so
-/// shrinking stays meaningful.
+/// Raw pair coordinates are drawn from a fixed range and wrapped onto the
+/// generated program, so shrinking stays meaningful.
 fn adversarial_table(raw: &[(u32, u32, f64)], len: usize) -> SpawnTable {
     SpawnTable::from_pairs(
         raw.iter()
@@ -227,28 +279,30 @@ fn random_program() -> impl Strategy<Value = specmt::isa::Program> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
+    /// Random straight-line/loop programs with adversarial spawn tables:
+    /// observing a run must not change it, its stream must balance, and
+    /// the engine must be deterministic.
     #[test]
     fn random_programs_windowed_equals_reference(
         program in random_program(),
         raw_pairs in prop::collection::vec((0u32..256, 0u32..256, 0.0f64..100.0), 0..6),
-        batch in 1usize..16,
         units in prop_oneof![Just(2usize), Just(4), Just(8)],
     ) {
         let trace = Trace::generate(program, 50_000).expect("generated trace");
         let table = adversarial_table(&raw_pairs, trace.program().len().max(1));
         let cfg = SimConfig::paper(units);
 
-        let reference = Simulator::with_table(&trace, cfg.clone(), &table)
-            .run_reference()
-            .expect("reference runs");
-        let production = Simulator::with_table(&trace, cfg.clone(), &table)
-            .run()
-            .expect("production runs");
-        prop_assert_eq!(&production, &reference, "production dispatch diverged");
-        let forced = Simulator::with_table(&trace, cfg, &table)
-            .with_batch_slots(batch)
-            .run()
-            .expect("forced pipeline runs");
-        prop_assert_eq!(&forced, &reference, "forced batch={} diverged", batch);
+        let plain = simulate("plain", &trace, &cfg, &table);
+        let mut log = EventLog::new();
+        let observed = Simulator::with_table(&trace, cfg.clone(), &table)
+            .run_with_sink(&mut log)
+            .expect("observed run");
+        prop_assert_eq!(&observed, &plain, "an event sink changed the result");
+        let report = audit(log.events()).unwrap_or_else(|e| panic!("stream audit: {e}"));
+        report
+            .verify(&observed.observed_totals())
+            .unwrap_or_else(|e| panic!("stream totals: {e}"));
+        let again = simulate("rerun", &trace, &cfg, &table);
+        prop_assert_eq!(&again, &plain, "a rerun diverged");
     }
 }
