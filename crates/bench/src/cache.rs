@@ -118,7 +118,7 @@ serde::impl_serde_struct!(BaselineDoc { cycles });
 /// # Errors
 ///
 /// As [`Bench::from_workload`].
-pub fn bench_via_store(
+pub(crate) fn bench_via_store(
     store: &Store,
     workload: Workload,
     label: &str,

@@ -286,9 +286,10 @@ mod tests {
         );
         let grid = spec.run(&h).unwrap();
         assert_eq!(grid.bench_names.len(), h.benches.len());
-        let direct = h.run_profile(&SimConfig::paper(4)).unwrap();
-        for (i, (_, sp, _)) in direct.iter().enumerate() {
-            assert_eq!(grid.values[0][i], *sp);
+        for (i, ctx) in h.benches.iter().enumerate() {
+            let r = ctx.sim(SimConfig::paper(4), &ctx.profile.table).unwrap();
+            assert_eq!(grid.values[0][i], ctx.speedup(&r).unwrap());
+            assert_eq!(grid.results[0][i], r);
         }
         assert_eq!(grid.means.len(), 2);
     }

@@ -10,12 +10,14 @@
 //! [`registry`] lists every figure the `specmt bench` CLI can run; the
 //! `all` target is the [`FigureGroup::Paper`] group in paper order. The
 //! [`FigureGroup::Extra`] entries are this reproduction's own studies (the
-//! parameter ablations and the cross-input validation), formerly separate
-//! binaries.
+//! parameter ablations, the cross-input validation and the adaptation
+//! drift study).
 //!
-//! All builders take the already-loaded [`Harness`] — they never regenerate
-//! traces or spawn tables themselves, so running every figure in one
-//! process does the expensive pipeline work exactly once.
+//! All builders take the already-loaded [`Harness`] and reach the pipeline
+//! only through its [`crate::BenchCtx`]s — they never regenerate traces or
+//! spawn tables themselves, so running every figure in one process does the
+//! expensive pipeline work exactly once. The reference-input studies load
+//! their contexts with [`Harness::load_ref`].
 
 use serde_json::json;
 
@@ -599,7 +601,7 @@ pub fn fig12(h: &Harness) -> Result<Figure, HarnessError> {
 }
 
 // ---------------------------------------------------------------------------
-// Extra studies (formerly the `ablations` and `crossinput` binaries)
+// Extra studies
 // ---------------------------------------------------------------------------
 
 /// The parameter ablations: selection thresholds, hardware parameters,
@@ -611,22 +613,37 @@ pub fn fig12(h: &Harness) -> Result<Figure, HarnessError> {
 /// As [`fig2`], plus [`HarnessError::Scheme`] for selection failures.
 pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
     let base = crate::best_profile_config(16);
-    let hmean_for = |cfg: &SimConfig, params: Option<&SchemeParams>| -> Result<f64, HarnessError> {
+    let hmean_for = |params: &SchemeParams| -> Result<f64, HarnessError> {
         let mut speedups = Vec::new();
         for ctx in &h.benches {
-            let table = match params {
-                None => ctx.table_for("profile", &h.registry, &h.params)?,
-                // Each parameter variant is store-addressed under its own
-                // key, so re-running an ablation sweep serves every table
-                // (and its simulations) from the store.
-                Some(p) => {
-                    std::sync::Arc::new(ctx.table_with_params("profile", &h.registry, p)?)
-                }
-            };
-            let r = ctx.sim(cfg.clone(), &table)?;
+            // Each parameter variant is store-addressed under its own key,
+            // so re-running an ablation sweep serves every table (and its
+            // simulations) from the store.
+            let table = ctx.table_with_params("profile", &h.registry, params)?;
+            let r = ctx.sim(base.clone(), &table)?;
             speedups.push(ctx.speedup(&r)?);
         }
         Ok(harmonic_mean(&speedups))
+    };
+    // One grid per hardware-sweep row: the profile table under each
+    // column's deltas over `base`.
+    let row = |columns: Vec<(&'static str, Vec<ConfigDelta>)>| {
+        ExperimentSpec::new(
+            base.clone(),
+            columns
+                .into_iter()
+                .map(|(label, deltas)| Variant::speedup(label, "profile", deltas))
+                .collect(),
+        )
+        .run(h)
+    };
+    let mean_hit_ratio = |results: &[specmt_sim::SimResult]| {
+        arithmetic_mean(
+            &results
+                .iter()
+                .map(|r| r.value_hit_ratio())
+                .collect::<Vec<_>>(),
+        )
     };
     let profile_params = |profile: specmt_spawn::ProfileConfig| SchemeParams {
         profile,
@@ -642,7 +659,7 @@ pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
             min_prob: p,
             ..specmt_spawn::ProfileConfig::default()
         });
-        let v = hmean_for(&base, Some(&params))?;
+        let v = hmean_for(&params)?;
         t.row_owned(vec![format!("{p:.2}"), f2(v)]);
         rows.push(json!({"min_prob": p, "hmean": v}));
     }
@@ -661,7 +678,7 @@ pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
             min_distance: d,
             ..specmt_spawn::ProfileConfig::default()
         });
-        let v = hmean_for(&base, Some(&params))?;
+        let v = hmean_for(&params)?;
         t.row_owned(vec![format!("{d}"), f2(v)]);
         rows.push(json!({"min_distance": d, "hmean": v}));
     }
@@ -680,7 +697,7 @@ pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
             max_distance: d.is_finite().then_some(d),
             ..specmt_spawn::ProfileConfig::default()
         });
-        let v = hmean_for(&base, Some(&params))?;
+        let v = hmean_for(&params)?;
         let label = if d.is_finite() {
             format!("{d}")
         } else {
@@ -704,7 +721,7 @@ pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
             coverage: c,
             ..specmt_spawn::ProfileConfig::default()
         });
-        let v = hmean_for(&base, Some(&params))?;
+        let v = hmean_for(&params)?;
         t.row_owned(vec![format!("{c:.2}"), f2(v)]);
         rows.push(json!({"coverage": c, "hmean": v}));
     }
@@ -720,11 +737,9 @@ pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
     let mut t = Table::new(&["thread units", "perfect", "stride"]);
     let mut rows = Vec::new();
     for tus in [2usize, 4, 8, 16, 32] {
-        let p = hmean_for(&crate::best_profile_config(tus), None)?;
-        let s = hmean_for(
-            &crate::best_profile_config(tus).with_value_predictor(ValuePredictorKind::Stride),
-            None,
-        )?;
+        let tu = ConfigDelta::ThreadUnits(tus);
+        let grid = row(vec![("perfect", vec![tu]), ("stride", vec![tu, STRIDE])])?;
+        let (p, s) = (grid.means[0], grid.means[1]);
         t.row_owned(vec![format!("{tus}"), f2(p), f2(s)]);
         rows.push(json!({"thread_units": tus, "perfect": p, "stride": s}));
     }
@@ -739,19 +754,14 @@ pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
     let mut t = Table::new(&["predictor budget", "hmean (stride)", "accuracy"]);
     let mut rows = Vec::new();
     for kb in [1usize, 4, 16, 64] {
-        let mut cfg = base.clone().with_value_predictor(ValuePredictorKind::Stride);
-        cfg.predictor_budget = kb * 1024;
-        let mut speedups = Vec::new();
-        let mut accs = Vec::new();
-        for ctx in &h.benches {
-            let table = ctx.table_for("profile", &h.registry, &h.params)?;
-            let r = ctx.sim(cfg.clone(), &table)?;
-            speedups.push(ctx.speedup(&r)?);
-            accs.push(r.value_hit_ratio());
-        }
-        let hm = harmonic_mean(&speedups);
-        let acc = accs.iter().sum::<f64>() / accs.len() as f64;
-        t.row_owned(vec![format!("{kb} KB"), f2(hm), format!("{:.1}%", 100.0 * acc)]);
+        let budget = ConfigDelta::PredictorBudget(kb * 1024);
+        let grid = row(vec![("stride", vec![STRIDE, budget])])?;
+        let (hm, acc) = (grid.means[0], mean_hit_ratio(&grid.results[0]));
+        t.row_owned(vec![
+            format!("{kb} KB"),
+            f2(hm),
+            format!("{:.1}%", 100.0 * acc),
+        ]);
         rows.push(json!({"budget_kb": kb, "hmean": hm, "accuracy": acc}));
     }
     figs.push(Figure {
@@ -765,12 +775,9 @@ pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
     let mut t = Table::new(&["forward latency", "perfect", "stride"]);
     let mut rows = Vec::new();
     for fwd in [0u64, 1, 3, 6, 10] {
-        let mut pc = base.clone();
-        pc.forward_latency = fwd;
-        let mut sc = pc.clone().with_value_predictor(ValuePredictorKind::Stride);
-        sc.forward_latency = fwd;
-        let p = hmean_for(&pc, None)?;
-        let s = hmean_for(&sc, None)?;
+        let lat = ConfigDelta::ForwardLatency(fwd);
+        let grid = row(vec![("perfect", vec![lat]), ("stride", vec![lat, STRIDE])])?;
+        let (p, s) = (grid.means[0], grid.means[1]);
         t.row_owned(vec![format!("{fwd}"), f2(p), f2(s)]);
         rows.push(json!({"forward_latency": fwd, "perfect": p, "stride": s}));
     }
@@ -793,18 +800,13 @@ pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
         ValuePredictorKind::LastValue,
         ValuePredictorKind::None,
     ] {
-        let cfg = base.clone().with_value_predictor(kind);
-        let mut speedups = Vec::new();
-        let mut accs = Vec::new();
-        for ctx in &h.benches {
-            let table = ctx.table_for("profile", &h.registry, &h.params)?;
-            let r = ctx.sim(cfg.clone(), &table)?;
-            speedups.push(ctx.speedup(&r)?);
-            accs.push(r.value_hit_ratio());
-        }
-        let hm = harmonic_mean(&speedups);
-        let acc = accs.iter().sum::<f64>() / accs.len() as f64;
-        t.row_owned(vec![kind.to_string(), f2(hm), format!("{:.1}%", 100.0 * acc)]);
+        let grid = row(vec![("hmean", vec![ConfigDelta::ValuePredictor(kind)])])?;
+        let (hm, acc) = (grid.means[0], mean_hit_ratio(&grid.results[0]));
+        t.row_owned(vec![
+            kind.to_string(),
+            f2(hm),
+            format!("{:.1}%", 100.0 * acc),
+        ]);
         rows.push(json!({"predictor": kind.to_string(), "hmean": hm, "accuracy": acc}));
     }
     figs.push(Figure {
@@ -846,9 +848,7 @@ pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
 ///
 /// As [`fig2`].
 pub fn crossinput(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
-    use specmt_workloads::{InputSet, SUITE_NAMES};
-
-    let scale = h.scale;
+    let cfg = crate::best_profile_config(16);
     let mut table = Table::new(&[
         "bench",
         "train-profiled",
@@ -859,108 +859,12 @@ pub fn crossinput(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
     let mut cross = Vec::new();
     let mut selfp = Vec::new();
     let mut rows = Vec::new();
-    for name in SUITE_NAMES {
-        // Non-default inputs flow through the store like the training
-        // suite: each input's trace is its own root key, and the profile
-        // tables / simulation results below chain from it.
-        let load = |input, tag: &str| -> Result<_, HarnessError> {
-            let w = specmt_workloads::by_name_with_input(name, scale, input).ok_or_else(|| {
-                HarnessError::bench(
-                    name,
-                    crate::BenchError::UnknownWorkload {
-                        name: name.to_owned(),
-                    },
-                )
-            })?;
-            let label = format!("{name}-{tag}-{}", format!("{scale:?}").to_lowercase());
-            let (bench, key) = crate::cache::bench_via_store(&h.store, w, &label)
-                .map_err(|e| HarnessError::bench(name, e))?;
-            Ok((bench, key, label))
-        };
-        let (train, train_key, train_label) = load(InputSet::Train, "train")?;
-        let (reference, ref_key, ref_label) = load(InputSet::Ref, "ref")?;
-
-        // The reference input's single-threaded baseline is an analysis
-        // artifact like any other: serve it when the closure matches.
-        if let Some(t) = &ref_key {
-            let akey = crate::cache::baseline_stage(t);
-            match h.store.get_json::<crate::cache::BaselineDoc>(
-                specmt_store::Namespace::Analysis,
-                &ref_label,
-                &akey,
-            ) {
-                Some(doc) => reference.seed_baseline(doc.cycles),
-                None => {
-                    let cycles = reference
-                        .baseline_cycles()
-                        .map_err(|e| HarnessError::bench(name, e))?;
-                    h.store.put_json(
-                        specmt_store::Namespace::Analysis,
-                        &ref_label,
-                        &akey,
-                        &crate::cache::BaselineDoc { cycles },
-                    );
-                }
-            }
-        }
-
-        let pairs_for = |bench: &crate::Bench,
-                         key: &Option<specmt_store::StageKey>,
-                         label: &str|
-         -> Result<specmt_spawn::SpawnTable, HarnessError> {
-            let skey = key
-                .as_ref()
-                .map(|t| crate::cache::table_stage(t, "builtin/profile", &h.params));
-            if let Some(k) = &skey {
-                if let Some(t) = h.store.get_json::<specmt_spawn::SpawnTable>(
-                    specmt_store::Namespace::SpawnTable,
-                    label,
-                    k,
-                ) {
-                    return Ok(t);
-                }
-            }
-            let t = h.registry.select("profile", bench.trace(), &h.params)?;
-            if let Some(k) = &skey {
-                h.store
-                    .put_json(specmt_store::Namespace::SpawnTable, label, k, &t);
-            }
-            Ok(t)
-        };
-        let train_pairs = pairs_for(&train, &train_key, &train_label)?;
-        let ref_pairs = pairs_for(&reference, &ref_key, &ref_label)?;
-
-        let cfg = crate::best_profile_config(16);
-        let run_stored = |table: &specmt_spawn::SpawnTable| -> Result<_, HarnessError> {
-            let skey = ref_key
-                .as_ref()
-                .map(|t| crate::cache::sim_stage(t, table, &cfg));
-            if let Some(k) = &skey {
-                if let Some(r) = h.store.get_json::<specmt_sim::SimResult>(
-                    specmt_store::Namespace::SimResult,
-                    &ref_label,
-                    k,
-                ) {
-                    return Ok(r);
-                }
-            }
-            let r = reference
-                .run(cfg.clone(), table)
-                .map_err(|e| HarnessError::bench(name, e))?;
-            if let Some(k) = &skey {
-                h.store
-                    .put_json(specmt_store::Namespace::SimResult, &ref_label, k, &r);
-            }
-            Ok(r)
-        };
-        let r_train = run_stored(&train_pairs)?;
-        let r_self = run_stored(&ref_pairs)?;
-        let with_train = reference
-            .speedup(&r_train)
-            .map_err(|e| HarnessError::bench(name, e))?;
-        let with_self = reference
-            .speedup(&r_self)
-            .map_err(|e| HarnessError::bench(name, e))?;
+    for (train, reference) in h.benches.iter().zip(h.load_ref()?) {
+        let name = train.bench.name();
+        let train_pairs = train.table_for("profile", &h.registry, &h.params)?;
+        let ref_pairs = reference.table_for("profile", &h.registry, &h.params)?;
+        let with_train = reference.speedup(&reference.sim(cfg.clone(), &train_pairs)?)?;
+        let with_self = reference.speedup(&reference.sim(cfg.clone(), &ref_pairs)?)?;
         cross.push(with_train);
         selfp.push(with_self);
 
@@ -1021,10 +925,7 @@ pub fn crossinput(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
 ///
 /// As [`fig2`].
 pub fn fig_adaptation(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
-    use specmt_workloads::{InputSet, SUITE_NAMES};
-
     const SCHEMES: [&str; 3] = ["profile", "scoreboard", "conf-gated"];
-    let scale = h.scale;
     let cfg = crate::best_profile_config(16);
     let mut table = Table::new(&[
         "bench",
@@ -1035,102 +936,16 @@ pub fn fig_adaptation(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
     ]);
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); SCHEMES.len()];
     let mut rows = Vec::new();
-    for name in SUITE_NAMES {
-        let load = |input, tag: &str| -> Result<_, HarnessError> {
-            let w = specmt_workloads::by_name_with_input(name, scale, input).ok_or_else(|| {
-                HarnessError::bench(
-                    name,
-                    crate::BenchError::UnknownWorkload {
-                        name: name.to_owned(),
-                    },
-                )
-            })?;
-            let label = format!("{name}-{tag}-{}", format!("{scale:?}").to_lowercase());
-            let (bench, key) = crate::cache::bench_via_store(&h.store, w, &label)
-                .map_err(|e| HarnessError::bench(name, e))?;
-            Ok((bench, key, label))
-        };
-        let (train, train_key, train_label) = load(InputSet::Train, "train")?;
-        let (reference, ref_key, ref_label) = load(InputSet::Ref, "ref")?;
-
-        if let Some(t) = &ref_key {
-            let akey = crate::cache::baseline_stage(t);
-            match h.store.get_json::<crate::cache::BaselineDoc>(
-                specmt_store::Namespace::Analysis,
-                &ref_label,
-                &akey,
-            ) {
-                Some(doc) => reference.seed_baseline(doc.cycles),
-                None => {
-                    let cycles = reference
-                        .baseline_cycles()
-                        .map_err(|e| HarnessError::bench(name, e))?;
-                    h.store.put_json(
-                        specmt_store::Namespace::Analysis,
-                        &ref_label,
-                        &akey,
-                        &crate::cache::BaselineDoc { cycles },
-                    );
-                }
-            }
-        }
-
+    for (train, reference) in h.benches.iter().zip(h.load_ref()?) {
+        let name = train.bench.name();
         let mut speeds = [0f64; 3];
         for (si, sname) in SCHEMES.iter().enumerate() {
             // The table is selected on the TRAIN input. Its store key
             // carries the scheme's cache identity, so a change to an
             // adaptive gate parameter re-keys the adaptive tables without
             // touching the base scheme's entries.
-            let identity = h.registry.get(sname).and_then(|s| s.cache_identity());
-            let tkey = train_key
-                .as_ref()
-                .zip(identity.as_ref())
-                .map(|(t, id)| crate::cache::table_stage(t, id, &h.params));
-            let stored = tkey.as_ref().and_then(|k| {
-                h.store.get_json::<specmt_spawn::SpawnTable>(
-                    specmt_store::Namespace::SpawnTable,
-                    &train_label,
-                    k,
-                )
-            });
-            let sel = match stored {
-                Some(t) => t,
-                None => {
-                    let t = h.registry.select(sname, train.trace(), &h.params)?;
-                    if let Some(k) = &tkey {
-                        h.store
-                            .put_json(specmt_store::Namespace::SpawnTable, &train_label, k, &t);
-                    }
-                    t
-                }
-            };
-
-            let rkey = ref_key
-                .as_ref()
-                .map(|t| crate::cache::sim_stage(t, &sel, &cfg));
-            let stored = rkey.as_ref().and_then(|k| {
-                h.store.get_json::<specmt_sim::SimResult>(
-                    specmt_store::Namespace::SimResult,
-                    &ref_label,
-                    k,
-                )
-            });
-            let r = match stored {
-                Some(r) => r,
-                None => {
-                    let r = reference
-                        .run(cfg.clone(), &sel)
-                        .map_err(|e| HarnessError::bench(name, e))?;
-                    if let Some(k) = &rkey {
-                        h.store
-                            .put_json(specmt_store::Namespace::SimResult, &ref_label, k, &r);
-                    }
-                    r
-                }
-            };
-            speeds[si] = reference
-                .speedup(&r)
-                .map_err(|e| HarnessError::bench(name, e))?;
+            let sel = train.table_for(sname, &h.registry, &h.params)?;
+            speeds[si] = reference.speedup(&reference.sim(cfg.clone(), &sel)?)?;
             cols[si].push(speeds[si]);
         }
         let best = speeds[1].max(speeds[2]);

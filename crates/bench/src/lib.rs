@@ -49,7 +49,7 @@ use specmt_spawn::{
 };
 use specmt_stats::Table;
 use specmt_store::{Namespace, StageKey, Store, StoreHandle};
-use specmt_workloads::Scale;
+use specmt_workloads::{InputSet, Scale};
 
 pub use benchmark::{Bench, BenchError};
 pub use experiment::{ExperimentGrid, ExperimentSpec, MeanKind, Metric, Variant};
@@ -158,7 +158,8 @@ pub struct BenchCtx {
     /// key chains from. `None` when the workload is unkeyable (the store is
     /// then bypassed for this context).
     trace_key: Option<StageKey>,
-    /// Logical store name for this context's artifacts, `{name}-{scale}`.
+    /// Logical store name for this context's artifacts: `{name}-{scale}`
+    /// on the training input, `{name}-ref-{scale}` on the reference input.
     label: String,
 }
 
@@ -186,20 +187,11 @@ impl BenchCtx {
         }
     }
 
-    /// Loads one benchmark through the process-default store (see
-    /// [`Store::default_handle`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`BenchCtx::load_with`].
-    pub fn load(name: &'static str, scale: Scale) -> Result<BenchCtx, HarnessError> {
-        BenchCtx::load_with(name, scale, Arc::clone(Store::default_handle()))
-    }
-
-    /// Loads one benchmark, consulting `store` stage by stage: the trace,
-    /// the default-parameter profile, the all-heuristics table and the
-    /// single-threaded baseline are each served from the store when their
-    /// input closure matches, and stored after being computed otherwise.
+    /// Loads one benchmark on its training input, consulting `store` stage
+    /// by stage: the trace, the default-parameter profile, the
+    /// all-heuristics table and the single-threaded baseline are each
+    /// served from the store when their input closure matches, and stored
+    /// after being computed otherwise.
     ///
     /// # Errors
     ///
@@ -210,15 +202,36 @@ impl BenchCtx {
         scale: Scale,
         store: StoreHandle,
     ) -> Result<BenchCtx, HarnessError> {
-        let workload = specmt_workloads::by_name(name, scale).ok_or_else(|| {
-            HarnessError::bench(
-                name,
-                BenchError::UnknownWorkload {
-                    name: name.to_owned(),
-                },
-            )
-        })?;
-        let label = format!("{name}-{}", format!("{scale:?}").to_lowercase());
+        BenchCtx::load_input(name, scale, InputSet::Train, store)
+    }
+
+    /// As [`BenchCtx::load_with`] on the given input set. Each input's
+    /// trace is its own root key, so every downstream artifact of a
+    /// reference-input context is keyed apart from the training one.
+    ///
+    /// # Errors
+    ///
+    /// As [`BenchCtx::load_with`].
+    pub fn load_input(
+        name: &'static str,
+        scale: Scale,
+        input: InputSet,
+        store: StoreHandle,
+    ) -> Result<BenchCtx, HarnessError> {
+        let workload =
+            specmt_workloads::by_name_with_input(name, scale, input).ok_or_else(|| {
+                HarnessError::bench(
+                    name,
+                    BenchError::UnknownWorkload {
+                        name: name.to_owned(),
+                    },
+                )
+            })?;
+        let tag = format!("{scale:?}").to_lowercase();
+        let label = match input {
+            InputSet::Train => format!("{name}-{tag}"),
+            InputSet::Ref => format!("{name}-ref-{tag}"),
+        };
         let (bench, trace_key) = cache::bench_via_store(&store, workload, &label)
             .map_err(|e| HarnessError::bench(name, e))?;
 
@@ -287,12 +300,7 @@ impl BenchCtx {
         if let Some(t) = self.tables.lock().expect("table lock").get(name) {
             return Ok(Arc::clone(t));
         }
-        let scheme = registry.get(name).ok_or_else(|| {
-            let mut known: Vec<String> =
-                registry.names().iter().map(|&n| n.to_owned()).collect();
-            known.sort_unstable();
-            SchemeError::UnknownScheme { name: name.to_owned(), known }
-        })?;
+        let scheme = registry.resolve(name)?;
         // Selection (and store I/O) runs outside the lock: it can be
         // expensive, and other schemes' lookups should not serialise
         // behind it.
@@ -318,13 +326,7 @@ impl BenchCtx {
         registry: &SchemeRegistry,
         params: &SchemeParams,
     ) -> Result<SpawnTable, HarnessError> {
-        let scheme = registry.get(name).ok_or_else(|| {
-            let mut known: Vec<String> =
-                registry.names().iter().map(|&n| n.to_owned()).collect();
-            known.sort_unstable();
-            SchemeError::UnknownScheme { name: name.to_owned(), known }
-        })?;
-        self.select_stored(scheme, params)
+        self.select_stored(registry.resolve(name)?, params)
     }
 
     fn select_stored(
@@ -453,6 +455,29 @@ pub fn run_supervised<T: Send + 'static>(
     Ok(values)
 }
 
+/// Loads every suite benchmark on `input` as one supervised batch, in the
+/// paper's reporting order.
+fn load_suite(
+    scale: Scale,
+    input: InputSet,
+    store: &StoreHandle,
+    exec: &Executor,
+) -> Result<Vec<Arc<BenchCtx>>, HarnessError> {
+    let tasks = specmt_workloads::SUITE_NAMES
+        .iter()
+        .map(|&name| {
+            let store = Arc::clone(store);
+            Task::new(name, move || {
+                BenchCtx::load_input(name, scale, input, Arc::clone(&store))
+            })
+        })
+        .collect();
+    run_supervised(exec, tasks)?
+        .into_iter()
+        .map(|loaded| loaded.map(Arc::new))
+        .collect()
+}
+
 /// Reads the scale from `SPECMT_SCALE` (default: medium).
 ///
 /// # Errors
@@ -471,24 +496,14 @@ pub fn scale_from_env() -> Result<Scale, HarnessError> {
 }
 
 impl Harness {
-    /// Loads the whole suite at the `SPECMT_SCALE` scale, building traces
-    /// and spawn tables in parallel. Previously generated artifacts are
-    /// served from the process-default store (see [`Store::default_handle`]
-    /// and the [`cache`] module) when their input closure matches.
+    /// Loads the whole suite at `scale`, building traces and spawn tables
+    /// in parallel. Previously generated artifacts are served from the
+    /// process-default store (see [`Store::default_handle`] and the
+    /// [`cache`] module) when their input closure matches.
     ///
     /// # Errors
     ///
-    /// Returns [`HarnessError::Scale`] for a bad `SPECMT_SCALE`, or the
-    /// first benchmark's failure.
-    pub fn load() -> Result<Harness, HarnessError> {
-        Harness::load_at(scale_from_env()?)
-    }
-
-    /// As [`Harness::load`] with an explicit scale.
-    ///
-    /// # Errors
-    ///
-    /// As [`Harness::load`].
+    /// The first benchmark's failure.
     pub fn load_at(scale: Scale) -> Result<Harness, HarnessError> {
         Harness::load_at_with(scale, Arc::clone(Store::default_handle()))
     }
@@ -499,22 +514,10 @@ impl Harness {
     ///
     /// # Errors
     ///
-    /// As [`Harness::load`].
+    /// As [`Harness::load_at`].
     pub fn load_at_with(scale: Scale, store: StoreHandle) -> Result<Harness, HarnessError> {
         let exec = ExecConfig::default();
-        let tasks = specmt_workloads::SUITE_NAMES
-            .iter()
-            .map(|&name| {
-                let store = Arc::clone(&store);
-                Task::new(name, move || {
-                    BenchCtx::load_with(name, scale, Arc::clone(&store))
-                })
-            })
-            .collect();
-        let benches = run_supervised(&Executor::new(exec.clone()), tasks)?
-            .into_iter()
-            .map(|loaded| loaded.map(Arc::new))
-            .collect::<Result<Vec<_>, _>>()?;
+        let benches = load_suite(scale, InputSet::Train, &store, &Executor::new(exec.clone()))?;
         Ok(Harness {
             benches,
             scale,
@@ -525,71 +528,22 @@ impl Harness {
         })
     }
 
+    /// The suite's reference-input contexts, in [`Harness::benches`]
+    /// order, loaded through the same supervised batch and store as the
+    /// training contexts (held-out-input studies evaluate training-selected
+    /// tables on these).
+    ///
+    /// # Errors
+    ///
+    /// As [`Harness::load_at`].
+    pub fn load_ref(&self) -> Result<Vec<Arc<BenchCtx>>, HarnessError> {
+        load_suite(self.scale, InputSet::Ref, &self.store, &self.executor())
+    }
+
     /// The supervised executor harness batches run on, configured by
     /// [`Harness::exec`].
     pub fn executor(&self) -> Executor {
         Executor::new(self.exec.clone())
-    }
-
-    /// Runs `config` with each benchmark's profile table, returning
-    /// `(name, speedup, result)` triples.
-    ///
-    /// # Errors
-    ///
-    /// The first benchmark's simulation failure, if any.
-    pub fn run_profile(
-        &self,
-        config: &SimConfig,
-    ) -> Result<Vec<(&'static str, f64, SimResult)>, HarnessError> {
-        self.run_scheme(config, "profile")
-    }
-
-    /// Runs `config` with the tables a named scheme selects per benchmark.
-    ///
-    /// # Errors
-    ///
-    /// As [`Harness::run_profile`], plus [`HarnessError::Scheme`] for an
-    /// unknown scheme.
-    pub fn run_scheme(
-        &self,
-        config: &SimConfig,
-        scheme: &str,
-    ) -> Result<Vec<(&'static str, f64, SimResult)>, HarnessError> {
-        let tables = self
-            .benches
-            .iter()
-            .map(|ctx| ctx.table_for(scheme, &self.registry, &self.params))
-            .collect::<Result<Vec<_>, _>>()?;
-        self.run_with(config, |i, _| Arc::clone(&tables[i]))
-    }
-
-    /// Runs `config` against a per-benchmark table selector (called with
-    /// the benchmark's suite index and context).
-    ///
-    /// # Errors
-    ///
-    /// As [`Harness::run_profile`].
-    pub fn run_with(
-        &self,
-        config: &SimConfig,
-        table: impl Fn(usize, &BenchCtx) -> Arc<SpawnTable> + Sync,
-    ) -> Result<Vec<(&'static str, f64, SimResult)>, HarnessError> {
-        let tasks = self
-            .benches
-            .iter()
-            .enumerate()
-            .map(|(i, ctx)| {
-                let t = table(i, ctx.as_ref());
-                let ctx = Arc::clone(ctx);
-                let cfg = config.clone();
-                Task::new(ctx.bench.name(), move || {
-                    let r = ctx.sim(cfg.clone(), &t)?;
-                    let sp = ctx.speedup(&r)?;
-                    Ok((ctx.bench.name(), sp, r))
-                })
-            })
-            .collect();
-        run_supervised(&self.executor(), tasks)?.into_iter().collect()
     }
 
     /// Force `SimConfig::observe` on (or stop forcing it) for every

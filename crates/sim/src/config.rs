@@ -353,8 +353,6 @@ pub enum ConfigDelta {
     Reassign(bool),
     /// Set (or clear) the minimum observed thread size.
     MinObservedSize(Option<u32>),
-    /// Enable or disable event/metrics observation.
-    Observe(bool),
 }
 
 impl ConfigDelta {
@@ -369,7 +367,6 @@ impl ConfigDelta {
             ConfigDelta::Removal(policy) => config.removal = policy,
             ConfigDelta::Reassign(on) => config.reassign = on,
             ConfigDelta::MinObservedSize(size) => config.min_observed_size = size,
-            ConfigDelta::Observe(on) => config.observe = on,
         }
     }
 }
@@ -422,7 +419,6 @@ mod tests {
             ConfigDelta::ForwardLatency(6),
             ConfigDelta::PredictorBudget(1024),
             ConfigDelta::MinObservedSize(Some(32)),
-            ConfigDelta::Observe(true),
         ]);
         assert_eq!(cfg.thread_units, 4);
         assert_eq!(cfg.value_predictor, ValuePredictorKind::Stride);
@@ -432,7 +428,6 @@ mod tests {
         assert_eq!(cfg.forward_latency, 6);
         assert_eq!(cfg.predictor_budget, 1024);
         assert_eq!(cfg.min_observed_size, Some(32));
-        assert!(cfg.observe);
     }
 
     #[test]

@@ -183,17 +183,18 @@ proptest! {
 
 #[test]
 fn harness_sweeps_share_executor_supervision() {
-    // `run_scheme` goes through the same supervised path as the grids; a
-    // jobs=1 and a wide run must agree exactly.
-    let narrow = {
+    // Experiment grids run through the supervised executor; a jobs=1 and a
+    // wide run must agree exactly, cell for cell.
+    let spec = ExperimentSpec::new(
+        SimConfig::paper(4),
+        vec![Variant::speedup("profile", "profile", vec![])],
+    );
+    let run = |jobs| {
         let mut h = Harness::load_at(Scale::Tiny).expect("tiny suite loads");
-        h.exec.jobs = 1;
-        h.run_scheme(&SimConfig::paper(4), "profile").expect("runs")
+        h.exec.jobs = jobs;
+        spec.run(&h).expect("runs")
     };
-    let wide = {
-        let mut h = Harness::load_at(Scale::Tiny).expect("tiny suite loads");
-        h.exec.jobs = 8;
-        h.run_scheme(&SimConfig::paper(4), "profile").expect("runs")
-    };
-    assert_eq!(narrow, wide);
+    let (narrow, wide) = (run(1), run(8));
+    assert_eq!(narrow.values, wide.values);
+    assert_eq!(narrow.results, wide.results);
 }

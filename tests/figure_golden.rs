@@ -18,6 +18,13 @@
 //! ```
 //!
 //! (stdout carries only the figure blocks; progress lines go to stderr).
+//! The Extra-group studies `crossinput` and `ablations` are pinned to
+//! their own captures, regenerated the same way with the store off:
+//!
+//! ```text
+//! SPECMT_CACHE=off cargo run --release -p specmt --bin specmt -- \
+//!     bench crossinput --scale tiny > tests/golden/crossinput_tiny.txt
+//! ```
 
 use std::collections::BTreeMap;
 
@@ -72,6 +79,28 @@ fn every_paper_figure_matches_golden_output() {
             got, want,
             "{id} diverged from the golden capture; if intentional, regenerate \
              tests/golden/figures_tiny.txt (see the module docs)"
+        );
+    }
+}
+
+/// The two Extra-group studies without a claim of their own: the
+/// cross-input transfer table (reference-input contexts) and the parameter
+/// ablations (scheme-parameter sweeps plus `ExperimentSpec` hardware grids).
+#[test]
+fn extra_studies_match_golden_output() {
+    let h = Harness::load_at_with(Scale::Tiny, Store::disabled())
+        .expect("suite loads at tiny scale");
+    for (id, golden) in [
+        ("crossinput", include_str!("golden/crossinput_tiny.txt")),
+        ("ablations", include_str!("golden/ablations_tiny.txt")),
+    ] {
+        let def = figures::by_id(id).expect("registered study");
+        let figs = (def.build)(&h).expect("study builds");
+        let rendered: String = figs.iter().map(|f| f.render_block()).collect();
+        assert_eq!(
+            rendered, golden,
+            "{id} diverged from tests/golden/{id}_tiny.txt; if intentional, \
+             regenerate it (see the module docs)"
         );
     }
 }

@@ -1,10 +1,16 @@
 //! The store-on/store-off differential, pinned to the committed golden
-//! capture: a cold run that *populates* a fresh store and a warm run served
-//! *from* that store must both render every figure bit-identically to the
-//! store-off capture in `tests/golden/figures_tiny.txt` (the same file
-//! `figure_golden.rs` checks against a disabled store). Equality of both
-//! passes against the same capture proves store-on ≡ store-off by
-//! transitivity, without a third full pipeline pass.
+//! captures: a cold run that *populates* a fresh store and a warm run served
+//! *from* that store must both render every paper figure and every
+//! Extra-group study bit-identically to the store-off captures in
+//! `tests/golden/` (the files `figure_golden.rs` checks against a disabled
+//! store). Equality of both passes against the same captures proves
+//! store-on ≡ store-off by transitivity, without a third full pipeline pass.
+//!
+//! The Extra studies cover the reference-input path: `crossinput` and
+//! `fig_adaptation` run training-selected tables on reference-input
+//! contexts, whose artifacts live under `{bench}-ref-{scale}`. The cold pass
+//! must store each distinct trace once — 8 training plus 8 reference — and
+//! never a second copy of a training trace under another name.
 //!
 //! The warm pass additionally asserts its store-hit counters cover every
 //! namespace with zero misses — i.e. the store really served everything,
@@ -12,13 +18,29 @@
 
 use std::collections::BTreeMap;
 use std::fs;
+use std::path::Path;
 use std::sync::Arc;
 
 use specmt::bench::{figures, Harness};
 use specmt::store::{Namespace, Store, StoreConfig, StoreHandle};
 use specmt::workloads::Scale;
 
-const GOLDEN: &str = include_str!("golden/figures_tiny.txt");
+/// Every capture, concatenated: the paper figures then the Extra studies.
+const GOLDENS: [&str; 4] = [
+    include_str!("golden/figures_tiny.txt"),
+    include_str!("golden/crossinput_tiny.txt"),
+    include_str!("golden/fig_adaptation_tiny.txt"),
+    include_str!("golden/ablations_tiny.txt"),
+];
+const EXTRA_STUDIES: [&str; 3] = ["crossinput", "fig_adaptation", "ablations"];
+
+const NAMESPACES: [Namespace; 5] = [
+    Namespace::Trace,
+    Namespace::Profile,
+    Namespace::SpawnTable,
+    Namespace::Analysis,
+    Namespace::SimResult,
+];
 
 fn blocks(text: &str) -> BTreeMap<String, String> {
     let mut out = BTreeMap::new();
@@ -38,14 +60,31 @@ fn blocks(text: &str) -> BTreeMap<String, String> {
 
 fn render_all(store: StoreHandle) -> BTreeMap<String, String> {
     let h = Harness::load_at_with(Scale::Tiny, store).expect("suite loads at tiny scale");
-    let figs = figures::all(&h).expect("all figures build");
+    let mut figs = figures::all(&h).expect("all figures build");
+    for id in EXTRA_STUDIES {
+        let def = figures::by_id(id).expect("registered study");
+        figs.extend((def.build)(&h).expect("study builds"));
+    }
     figs.iter()
         .map(|f| (f.id.clone(), f.render_block()))
         .collect()
 }
 
+/// Every entry file name under the store directory, across namespaces.
+fn entry_names(dir: &Path) -> Vec<String> {
+    let mut names = Vec::new();
+    for ns in fs::read_dir(dir).expect("store dir lists").flatten() {
+        if let Ok(entries) = fs::read_dir(ns.path()) {
+            for entry in entries.flatten() {
+                names.push(entry.file_name().to_string_lossy().into_owned());
+            }
+        }
+    }
+    names
+}
+
 fn assert_matches_golden(pass: &str, rendered: &BTreeMap<String, String>) {
-    let golden = blocks(GOLDEN);
+    let golden = blocks(&GOLDENS.concat());
     assert_eq!(
         golden.keys().collect::<Vec<_>>(),
         rendered.keys().collect::<Vec<_>>(),
@@ -67,28 +106,26 @@ fn cold_and_warm_store_runs_match_the_store_off_golden() {
     // Cold pass: populates the store while producing golden output.
     let cold_store = Store::open(StoreConfig::at(&dir));
     assert_matches_golden("cold", &render_all(Arc::clone(&cold_store)));
-    for ns in [
-        Namespace::Trace,
-        Namespace::Profile,
-        Namespace::SpawnTable,
-        Namespace::Analysis,
-        Namespace::SimResult,
-    ] {
+    for ns in NAMESPACES {
         assert!(cold_store.stores(ns) > 0, "cold pass must populate {ns:?}");
     }
+    assert_eq!(
+        cold_store.stores(Namespace::Trace),
+        16,
+        "the cold pass stores each training and reference trace exactly once"
+    );
+    let copies: Vec<String> = entry_names(&dir)
+        .into_iter()
+        .filter(|n| n.contains("-train-"))
+        .collect();
+    assert!(copies.is_empty(), "training artifacts stored under a second name: {copies:?}");
 
     // Warm pass: a fresh handle over the populated directory must serve
     // every artifact — trace, profile, spawn tables, baselines, simulation
     // results — and still render the identical figures.
     let warm_store = Store::open(StoreConfig::at(&dir));
     assert_matches_golden("warm", &render_all(Arc::clone(&warm_store)));
-    for ns in [
-        Namespace::Trace,
-        Namespace::Profile,
-        Namespace::SpawnTable,
-        Namespace::Analysis,
-        Namespace::SimResult,
-    ] {
+    for ns in NAMESPACES {
         assert_eq!(
             warm_store.misses(ns),
             0,
