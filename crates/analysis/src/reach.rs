@@ -162,11 +162,7 @@ impl ReachingAnalysis {
             }
             let events = &events;
             std::thread::scope(|s| {
-                for (((w0, w1), r), d) in bounds
-                    .into_iter()
-                    .zip(reach_slices)
-                    .zip(dist_slices)
-                {
+                for (((w0, w1), r), d) in bounds.into_iter().zip(reach_slices).zip(dist_slices) {
                     s.spawn(move || Shard::new(w0, w1, n).scan(events, r, d));
                 }
             });
@@ -391,7 +387,13 @@ impl Shard {
 /// the per-credit loop carries no bookkeeping at all. All hot state lives
 /// in fixed 64-wide arrays indexed through `& 63` masks, keeping every
 /// index provably in range so no bounds checks survive in the loop.
-fn scan_word_small(lo: usize, count: usize, n: usize, events: &[(u32, u64)], cells: &mut [[u64; 2]]) {
+fn scan_word_small(
+    lo: usize,
+    count: usize,
+    n: usize,
+    events: &[(u32, u64)],
+    cells: &mut [[u64; 2]],
+) {
     let hi = lo + count;
     let mut open = 0u64;
     let mut credited = [0u64; 64];
@@ -441,7 +443,13 @@ fn scan_word_small(lo: usize, count: usize, n: usize, events: &[(u32, u64)], cel
 /// branchless bit-clear, now over `n` words. The output cells are written
 /// in place (no fixed grid), with `i < count` guaranteed because open bits
 /// are only ever set for sources this word owns.
-fn scan_word_wide(lo: usize, count: usize, n: usize, events: &[(u32, u64)], cells: &mut [[u64; 2]]) {
+fn scan_word_wide(
+    lo: usize,
+    count: usize,
+    n: usize,
+    events: &[(u32, u64)],
+    cells: &mut [[u64; 2]],
+) {
     let hi = lo + count;
     let mut open = 0u64;
     let mut credited = vec![0u64; n];
@@ -607,7 +615,11 @@ mod tests {
         let trace = Trace::generate(program, 1_000_000).unwrap();
         let stream = BlockStream::new(&trace, &bbs);
         let all: Vec<BlockId> = (0..bbs.num_blocks() as BlockId).collect();
-        assert!(all.len() > 128, "want multiple source words, got {}", all.len());
+        assert!(
+            all.len() > 128,
+            "want multiple source words, got {}",
+            all.len()
+        );
         assert_identical(
             &ReachingAnalysis::compute(&stream, &all),
             &ReachingAnalysis::compute_naive(&stream, &all),

@@ -127,9 +127,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     // true cost with sample count, and this is the number the throughput
     // gate and the perf tables are built on.
     let sim = time_ms(5 * runs, || {
-        bench
-            .run(SimConfig::paper(16), &table)
-            .expect("simulation")
+        bench.run(SimConfig::paper(16), &table).expect("simulation")
     });
     // Engine throughput: dynamic instructions the paper-configuration
     // simulation retires per wall-clock second.
@@ -167,7 +165,10 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     for (name, ms) in &kernels {
         println!("{name:<26} {ms:>10.3} ms");
     }
-    println!("sim_instructions_per_sec   {:>10.0} /s ({sim_insts} dyn insts)", sim_ips);
+    println!(
+        "sim_instructions_per_sec   {:>10.0} /s ({sim_insts} dyn insts)",
+        sim_ips
+    );
     println!("reach_speedup              {reach_speedup:>10.2} x (naive / word-parallel)");
     println!("warm_cache_speedup         {warm_speedup:>10.2} x (cold / warm suite load)");
 
@@ -182,13 +183,18 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
             .and_then(|v| v.get("scales"))
             .and_then(|v| v.get(&scale_key))
         else {
-            println!("no committed numbers for `{scale_key}` in {out_path}; check passes vacuously");
+            println!(
+                "no committed numbers for `{scale_key}` in {out_path}; check passes vacuously"
+            );
             return Ok(ExitCode::SUCCESS);
         };
         let mut regressed = false;
         if let Some(prev) = section.get("kernels") {
             for (name, ms) in &kernels {
-                let Some(old) = prev.get(name).and_then(|v| <f64 as serde::Deserialize>::from_value(v).ok()) else {
+                let Some(old) = prev
+                    .get(name)
+                    .and_then(|v| <f64 as serde::Deserialize>::from_value(v).ok())
+                else {
                     continue;
                 };
                 if *ms > 2.0 * old {
@@ -219,8 +225,12 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     }
 
     // Merge this scale's section into the committed JSON.
-    let kernels_json =
-        serde_json::Value::Object(kernels.iter().map(|(k, v)| ((*k).to_string(), json!(v))).collect());
+    let kernels_json = serde_json::Value::Object(
+        kernels
+            .iter()
+            .map(|(k, v)| ((*k).to_string(), json!(v)))
+            .collect(),
+    );
     let section = json!({
         "kernels": kernels_json,
         "throughput": {
@@ -232,10 +242,11 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
             "warm_cache_speedup": warm_speedup,
         },
     });
-    let mut scales: Vec<(String, serde_json::Value)> = match committed.as_ref().and_then(|v| v.get("scales")) {
-        Some(serde_json::Value::Object(pairs)) => pairs.clone(),
-        _ => Vec::new(),
-    };
+    let mut scales: Vec<(String, serde_json::Value)> =
+        match committed.as_ref().and_then(|v| v.get("scales")) {
+            Some(serde_json::Value::Object(pairs)) => pairs.clone(),
+            _ => Vec::new(),
+        };
     match scales.iter_mut().find(|(k, _)| *k == scale_key) {
         Some((_, v)) => *v = section,
         None => scales.push((scale_key.clone(), section)),

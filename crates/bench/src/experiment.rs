@@ -299,15 +299,16 @@ mod tests {
         let h = Harness::load_at(Scale::Tiny).unwrap();
         let spec = ExperimentSpec::new(
             SimConfig::paper(4),
-            vec![Variant::speedup("removal", "profile", vec![]).with_per_bench(|name| {
-                vec![ConfigDelta::Removal(Some(crate::standard_removal(name)))]
-            })],
+            vec![
+                Variant::speedup("removal", "profile", vec![]).with_per_bench(|name| {
+                    vec![ConfigDelta::Removal(Some(crate::standard_removal(name)))]
+                }),
+            ],
         );
         let grid = spec.run(&h).unwrap();
         // Same cells computed directly.
         for (i, ctx) in h.benches.iter().enumerate() {
-            let cfg = SimConfig::paper(4)
-                .with_removal(crate::standard_removal(ctx.bench.name()));
+            let cfg = SimConfig::paper(4).with_removal(crate::standard_removal(ctx.bench.name()));
             let r = ctx.sim(cfg, &ctx.profile.table).unwrap();
             assert_eq!(grid.values[0][i], ctx.speedup(&r).unwrap());
         }

@@ -902,7 +902,8 @@ pub fn crossinput(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
         title: "Cross-input validation: training-selected pairs on the reference input".into(),
         table,
         notes: vec![
-            "transfer = speed-up with training-selected pairs relative to self-profiled pairs".into(),
+            "transfer = speed-up with training-selected pairs relative to self-profiled pairs"
+                .into(),
             "on the reference input; overlap = training pairs also selected by a reference".into(),
             "profile. High transfer validates the paper's profile-once methodology.".into(),
         ],
@@ -927,13 +928,7 @@ pub fn crossinput(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
 pub fn fig_adaptation(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
     const SCHEMES: [&str; 3] = ["profile", "scoreboard", "conf-gated"];
     let cfg = crate::best_profile_config(16);
-    let mut table = Table::new(&[
-        "bench",
-        "profile",
-        "scoreboard",
-        "conf-gated",
-        "best gain",
-    ]);
+    let mut table = Table::new(&["bench", "profile", "scoreboard", "conf-gated", "best gain"]);
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); SCHEMES.len()];
     let mut rows = Vec::new();
     for (train, reference) in h.benches.iter().zip(h.load_ref()?) {

@@ -236,7 +236,9 @@ impl BenchCtx {
             .map_err(|e| HarnessError::bench(name, e))?;
 
         let profile_cfg = ProfileConfig::default();
-        let pkey = trace_key.as_ref().map(|t| cache::profile_stage(t, &profile_cfg));
+        let pkey = trace_key
+            .as_ref()
+            .map(|t| cache::profile_stage(t, &profile_cfg));
         let profile = pkey
             .as_ref()
             .and_then(|k| store.get_json::<ProfileResult>(Namespace::Profile, &label, k))
@@ -273,7 +275,12 @@ impl BenchCtx {
                     .baseline_cycles()
                     .map_err(|e| HarnessError::bench(name, e))?;
                 if let Some(k) = &akey {
-                    store.put_json(Namespace::Analysis, &label, k, &cache::BaselineDoc { cycles });
+                    store.put_json(
+                        Namespace::Analysis,
+                        &label,
+                        k,
+                        &cache::BaselineDoc { cycles },
+                    );
                 }
             }
         }
@@ -339,9 +346,9 @@ impl BenchCtx {
             _ => None,
         };
         if let Some(k) = &skey {
-            if let Some(t) = self
-                .store
-                .get_json::<SpawnTable>(Namespace::SpawnTable, &self.label, k)
+            if let Some(t) =
+                self.store
+                    .get_json::<SpawnTable>(Namespace::SpawnTable, &self.label, k)
             {
                 return Ok(t);
             }
@@ -387,7 +394,8 @@ impl BenchCtx {
             .run(config, table)
             .map_err(|e| HarnessError::bench(self.bench.name(), e))?;
         if let Some(k) = &key {
-            self.store.put_json(Namespace::SimResult, &self.label, k, &r);
+            self.store
+                .put_json(Namespace::SimResult, &self.label, k, &r);
         }
         Ok(r)
     }

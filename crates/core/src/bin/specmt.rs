@@ -140,11 +140,7 @@ fn build_table(args: &Args, trace: &Trace) -> Result<SpawnTable, CliError> {
     let policy = args.flag("policy").unwrap_or("profile");
     match policy {
         "none" => Ok(SpawnTable::empty()),
-        "help" => Err(format!(
-            "registered schemes: {}",
-            BUILTIN_SCHEME_NAMES.join(", ")
-        )
-        .into()),
+        "help" => Err(format!("registered schemes: {}", BUILTIN_SCHEME_NAMES.join(", ")).into()),
         name => Ok(SchemeRegistry::builtin().select(name, trace, &SchemeParams::default())?),
     }
 }
@@ -166,7 +162,13 @@ fn run(raw: Vec<String>) -> Result<(), CliError> {
             "scale", "policy", "tus", "vp", "overhead", "min-size", "faults",
         ],
         "bench" => &[
-            "scale", "json", "list", "metrics", "jobs", "deadline", "max-retries",
+            "scale",
+            "json",
+            "list",
+            "metrics",
+            "jobs",
+            "deadline",
+            "max-retries",
         ],
         "cache" => &["max-bytes"],
         _ => &[],
@@ -436,9 +438,9 @@ fn run(raw: Vec<String>) -> Result<(), CliError> {
                 }
                 "gc" => {
                     let raw = args.flag("max-bytes").ok_or("gc needs --max-bytes <N>")?;
-                    let max: u64 = raw
-                        .parse()
-                        .map_err(|_| format!("invalid --max-bytes `{raw}` (expected a byte count)"))?;
+                    let max: u64 = raw.parse().map_err(|_| {
+                        format!("invalid --max-bytes `{raw}` (expected a byte count)")
+                    })?;
                     let report = store.gc(max);
                     println!(
                         "gc: removed {} entries ({} bytes), {} bytes kept",
@@ -498,12 +500,11 @@ fn write_metrics(h: &Harness, mode: &str) -> Result<(), Box<dyn std::error::Erro
                 ctx.bench
                     .run_observed(SimConfig::paper(16), &table, &mut log)?;
                 let path = dir.join(format!("trace_{}.json", ctx.bench.name()));
-                std::fs::write(&path, specmt::obs::chrome::trace_string(log.events())? + "\n")?;
-                eprintln!(
-                    "wrote {} ({} events)",
-                    path.display(),
-                    log.len()
-                );
+                std::fs::write(
+                    &path,
+                    specmt::obs::chrome::trace_string(log.events())? + "\n",
+                )?;
+                eprintln!("wrote {} ({} events)", path.display(), log.len());
             }
         }
         other => return Err(format!("--metrics wants json or chrome, got `{other}`").into()),

@@ -125,8 +125,7 @@ impl ExecChaosPlan {
 
     /// Whether this attempt of this cell wedges past any deadline.
     pub fn wedges(&self, cell: u64, attempt: u32) -> bool {
-        self.wedge_cells.contains(&cell)
-            || self.draw(0xa5a5_0002, cell, attempt) < self.wedge_rate
+        self.wedge_cells.contains(&cell) || self.draw(0xa5a5_0002, cell, attempt) < self.wedge_rate
     }
 
     /// Whether the worker that ran this attempt dies after resolving it.
@@ -152,7 +151,10 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let cfg = ExecConfig { backoff_base: Duration::from_millis(10), ..ExecConfig::default() };
+        let cfg = ExecConfig {
+            backoff_base: Duration::from_millis(10),
+            ..ExecConfig::default()
+        };
         assert_eq!(cfg.backoff(0), Duration::ZERO);
         assert_eq!(cfg.backoff(1), Duration::from_millis(10));
         assert_eq!(cfg.backoff(2), Duration::from_millis(20));
@@ -163,8 +165,22 @@ mod tests {
 
     #[test]
     fn effective_jobs_resolves_zero() {
-        assert!(ExecConfig { jobs: 0, ..ExecConfig::default() }.effective_jobs() >= 1);
-        assert_eq!(ExecConfig { jobs: 3, ..ExecConfig::default() }.effective_jobs(), 3);
+        assert!(
+            ExecConfig {
+                jobs: 0,
+                ..ExecConfig::default()
+            }
+            .effective_jobs()
+                >= 1
+        );
+        assert_eq!(
+            ExecConfig {
+                jobs: 3,
+                ..ExecConfig::default()
+            }
+            .effective_jobs(),
+            3
+        );
     }
 
     #[test]
@@ -186,7 +202,10 @@ mod tests {
         let agree = (0..256u64)
             .filter(|&c| plan.poisons(c, 0) == plan.wedges(c, 0))
             .count();
-        assert!(agree > 64 && agree < 192, "poison/wedge draws correlated: {agree}/256");
+        assert!(
+            agree > 64 && agree < 192,
+            "poison/wedge draws correlated: {agree}/256"
+        );
     }
 
     #[test]

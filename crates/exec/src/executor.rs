@@ -50,7 +50,10 @@ pub struct Task<T> {
 impl<T> Task<T> {
     /// A task from its report label and closure.
     pub fn new(label: impl Into<String>, run: impl Fn() -> T + Send + Sync + 'static) -> Task<T> {
-        Task { label: label.into(), run: Arc::new(run) }
+        Task {
+            label: label.into(),
+            run: Arc::new(run),
+        }
     }
 
     /// The task's report label.
@@ -61,7 +64,9 @@ impl<T> Task<T> {
 
 impl<T> std::fmt::Debug for Task<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Task").field("label", &self.label).finish_non_exhaustive()
+        f.debug_struct("Task")
+            .field("label", &self.label)
+            .finish_non_exhaustive()
     }
 }
 
@@ -158,7 +163,11 @@ impl Executor {
                 .queue
                 .lock()
                 .expect("seat queue lock")
-                .push_back(Attempt { cell, attempt: 0, delay: Duration::ZERO });
+                .push_back(Attempt {
+                    cell,
+                    attempt: 0,
+                    delay: Duration::ZERO,
+                });
         }
         for seat in 0..jobs {
             spawn_worker(&shared, seat);
@@ -198,13 +207,20 @@ impl Executor {
             };
             degraded |= outcome.is_degraded();
             values.push(slot.value.lock().expect("slot value lock").take());
-            cells.push(CellReport { label: shared.tasks[i].label.clone(), outcome });
+            cells.push(CellReport {
+                label: shared.tasks[i].label.clone(),
+                outcome,
+            });
         }
         let errors = std::mem::take(&mut *shared.errors.lock().expect("errors lock"));
         BatchResult {
             values,
             report: BatchReport {
-                status: if degraded { BatchStatus::Degraded } else { BatchStatus::Complete },
+                status: if degraded {
+                    BatchStatus::Degraded
+                } else {
+                    BatchStatus::Complete
+                },
                 jobs: jobs as u64,
                 cells,
                 retries: shared.retries.load(Ordering::Acquire),
@@ -231,7 +247,11 @@ enum CellState {
     /// Waiting for the given attempt to be picked up.
     Queued { attempt: u32 },
     /// The given attempt is executing on a seat since an instant.
-    Running { attempt: u32, seat: usize, since: Instant },
+    Running {
+        attempt: u32,
+        seat: usize,
+        since: Instant,
+    },
     /// Terminal.
     Resolved { outcome: CellOutcome },
 }
@@ -243,7 +263,10 @@ struct Slot<T> {
 
 impl<T> Slot<T> {
     fn new() -> Slot<T> {
-        Slot { state: Mutex::new(CellState::Queued { attempt: 0 }), value: Mutex::new(None) }
+        Slot {
+            state: Mutex::new(CellState::Queued { attempt: 0 }),
+            value: Mutex::new(None),
+        }
     }
 }
 
@@ -318,7 +341,10 @@ fn install_quiet_hook() {
 /// Put a fresh worker thread on a seat, installing its abandon flag.
 fn spawn_worker<T: Send + 'static>(shared: &Arc<Shared<T>>, seat: usize) {
     let flag = Arc::new(AtomicBool::new(false));
-    *shared.seats[seat].abandon.lock().expect("seat abandon lock") = Arc::clone(&flag);
+    *shared.seats[seat]
+        .abandon
+        .lock()
+        .expect("seat abandon lock") = Arc::clone(&flag);
     let sh = Arc::clone(shared);
     std::thread::Builder::new()
         .name(format!("{WORKER_PREFIX}{seat}"))
@@ -330,7 +356,12 @@ fn spawn_worker<T: Send + 'static>(shared: &Arc<Shared<T>>, seat: usize) {
 /// kill), keeping the pool at full strength.
 fn replace_worker<T: Send + 'static>(shared: &Arc<Shared<T>>, seat: usize) {
     shared.workers_lost.fetch_add(1, Ordering::AcqRel);
-    emit(shared, TaskEvent::WorkerLost { worker: seat as u32 });
+    emit(
+        shared,
+        TaskEvent::WorkerLost {
+            worker: seat as u32,
+        },
+    );
     if shared.resolved.load(Ordering::Acquire) < shared.slots.len() {
         spawn_worker(shared, seat);
     }
@@ -339,7 +370,12 @@ fn replace_worker<T: Send + 'static>(shared: &Arc<Shared<T>>, seat: usize) {
 /// Pop the next attempt: own queue front, then the injector (retries),
 /// then steal from siblings' backs.
 fn next_attempt<T>(shared: &Shared<T>, seat: usize) -> Option<Attempt> {
-    if let Some(a) = shared.seats[seat].queue.lock().expect("seat queue lock").pop_front() {
+    if let Some(a) = shared.seats[seat]
+        .queue
+        .lock()
+        .expect("seat queue lock")
+        .pop_front()
+    {
         return Some(a);
     }
     if let Some(a) = shared.injector.lock().expect("injector lock").pop_front() {
@@ -348,7 +384,12 @@ fn next_attempt<T>(shared: &Shared<T>, seat: usize) -> Option<Attempt> {
     let n = shared.seats.len();
     for i in 1..n {
         let victim = (seat + i) % n;
-        if let Some(a) = shared.seats[victim].queue.lock().expect("seat queue lock").pop_back() {
+        if let Some(a) = shared.seats[victim]
+            .queue
+            .lock()
+            .expect("seat queue lock")
+            .pop_back()
+        {
             return Some(a);
         }
     }
@@ -379,8 +420,9 @@ enum WorkerFate {
 /// How long a chaos-wedged attempt sleeps: comfortably past any deadline
 /// so the watchdog must abandon it.
 fn wedge_duration(cfg: &ExecConfig) -> Duration {
-    cfg.deadline
-        .map_or(Duration::from_millis(50), |d| d * 2 + Duration::from_millis(50))
+    cfg.deadline.map_or(Duration::from_millis(50), |d| {
+        d * 2 + Duration::from_millis(50)
+    })
 }
 
 /// Best-effort extraction of a panic payload's message, as captured at a
@@ -408,20 +450,34 @@ fn run_attempt<T: Send + 'static>(
     // Claim the attempt. A slot that moved on (skipped by the budget, or
     // this attempt superseded) is simply not ours to run.
     {
-        let mut st = shared.slots[att.cell].state.lock().expect("slot state lock");
+        let mut st = shared.slots[att.cell]
+            .state
+            .lock()
+            .expect("slot state lock");
         match *st {
             CellState::Queued { attempt } if attempt == att.attempt => {
                 if shared.budget_hit.load(Ordering::Acquire) {
                     // Past the batch budget nothing new starts, even if the
                     // watchdog's skip scan hasn't reached this cell yet.
                     *st = CellState::Resolved {
-                        outcome: CellOutcome::Skipped { reason: SkipReason::BudgetExhausted },
+                        outcome: CellOutcome::Skipped {
+                            reason: SkipReason::BudgetExhausted,
+                        },
                     };
-                    emit(shared, TaskEvent::Skipped { cell: att.cell as u64 });
+                    emit(
+                        shared,
+                        TaskEvent::Skipped {
+                            cell: att.cell as u64,
+                        },
+                    );
                     mark_resolved(shared);
                     return WorkerFate::Live;
                 }
-                *st = CellState::Running { attempt: att.attempt, seat, since: Instant::now() };
+                *st = CellState::Running {
+                    attempt: att.attempt,
+                    seat,
+                    since: Instant::now(),
+                };
                 emit(
                     shared,
                     TaskEvent::Started {
@@ -443,7 +499,12 @@ fn run_attempt<T: Send + 'static>(
         && !abandon.load(Ordering::Acquire);
     if killed {
         shared.workers_lost.fetch_add(1, Ordering::AcqRel);
-        emit(shared, TaskEvent::WorkerLost { worker: seat as u32 });
+        emit(
+            shared,
+            TaskEvent::WorkerLost {
+                worker: seat as u32,
+            },
+        );
     }
     let result = catch_unwind(AssertUnwindSafe(|| {
         if let Some(plan) = chaos {
@@ -461,7 +522,10 @@ fn run_attempt<T: Send + 'static>(
     // from us in the meantime.
     let mut requeue = None;
     {
-        let mut st = shared.slots[att.cell].state.lock().expect("slot state lock");
+        let mut st = shared.slots[att.cell]
+            .state
+            .lock()
+            .expect("slot state lock");
         let ours = matches!(
             *st,
             CellState::Running { attempt, seat: s, .. } if attempt == att.attempt && s == seat
@@ -469,12 +533,17 @@ fn run_attempt<T: Send + 'static>(
         if ours {
             match result {
                 Ok(value) => {
-                    *shared.slots[att.cell].value.lock().expect("slot value lock") = Some(value);
+                    *shared.slots[att.cell]
+                        .value
+                        .lock()
+                        .expect("slot value lock") = Some(value);
                     *st = CellState::Resolved {
                         outcome: if att.attempt == 0 {
                             CellOutcome::Ok
                         } else {
-                            CellOutcome::Retried { retries: att.attempt }
+                            CellOutcome::Retried {
+                                retries: att.attempt,
+                            }
                         },
                     };
                     emit(
@@ -493,7 +562,9 @@ fn run_attempt<T: Send + 'static>(
                         cell: att.cell as u64,
                         label: shared.tasks[att.cell].label.clone(),
                         attempt: att.attempt,
-                        kind: TaskErrorKind::Panicked { message: message.clone() },
+                        kind: TaskErrorKind::Panicked {
+                            message: message.clone(),
+                        },
                     });
                     emit(
                         shared,
@@ -509,7 +580,10 @@ fn run_attempt<T: Send + 'static>(
                         &mut st,
                         att,
                         TaskFault::Panic,
-                        CellOutcome::Panicked { attempts: att.attempt + 1, message },
+                        CellOutcome::Panicked {
+                            attempts: att.attempt + 1,
+                            message,
+                        },
                     );
                 }
             }
@@ -542,8 +616,16 @@ fn fault_next_step<T>(
 ) -> Option<Attempt> {
     if att.attempt < shared.cfg.max_retries && !shared.budget_hit.load(Ordering::Acquire) {
         shared.retries.fetch_add(1, Ordering::AcqRel);
-        emit(shared, TaskEvent::Retried { cell: att.cell as u64, attempt: att.attempt + 1 });
-        *st = CellState::Queued { attempt: att.attempt + 1 };
+        emit(
+            shared,
+            TaskEvent::Retried {
+                cell: att.cell as u64,
+                attempt: att.attempt + 1,
+            },
+        );
+        *st = CellState::Queued {
+            attempt: att.attempt + 1,
+        };
         Some(Attempt {
             cell: att.cell,
             attempt: att.attempt + 1,
@@ -553,7 +635,11 @@ fn fault_next_step<T>(
         *st = CellState::Resolved { outcome: exhausted };
         emit(
             shared,
-            TaskEvent::Exhausted { cell: att.cell as u64, attempts: att.attempt + 1, fault },
+            TaskEvent::Exhausted {
+                cell: att.cell as u64,
+                attempts: att.attempt + 1,
+                fault,
+            },
         );
         mark_resolved(shared);
         None
@@ -568,8 +654,10 @@ fn watchdog<T: Send + 'static>(shared: &Arc<Shared<T>>) {
     while shared.resolved.load(Ordering::Acquire) < n {
         std::thread::sleep(Duration::from_millis(2));
         let now = Instant::now();
-        let budget_expired =
-            shared.cfg.budget.is_some_and(|b| now.duration_since(shared.started) > b);
+        let budget_expired = shared
+            .cfg
+            .budget
+            .is_some_and(|b| now.duration_since(shared.started) > b);
         if budget_expired {
             shared.budget_hit.store(true, Ordering::Release);
         }
@@ -579,8 +667,15 @@ fn watchdog<T: Send + 'static>(shared: &Arc<Shared<T>>) {
             {
                 let mut st = shared.slots[cell].state.lock().expect("slot state lock");
                 match *st {
-                    CellState::Running { attempt, seat, since } => {
-                        let over = shared.cfg.deadline.is_some_and(|d| now.duration_since(since) > d);
+                    CellState::Running {
+                        attempt,
+                        seat,
+                        since,
+                    } => {
+                        let over = shared
+                            .cfg
+                            .deadline
+                            .is_some_and(|d| now.duration_since(since) > d);
                         if over || budget_expired {
                             let deadline_ms = shared
                                 .cfg
@@ -602,20 +697,28 @@ fn watchdog<T: Send + 'static>(shared: &Arc<Shared<T>>) {
                                     fault: TaskFault::Deadline,
                                 },
                             );
-                            let att = Attempt { cell, attempt, delay: Duration::ZERO };
+                            let att = Attempt {
+                                cell,
+                                attempt,
+                                delay: Duration::ZERO,
+                            };
                             requeue = fault_next_step(
                                 shared,
                                 &mut st,
                                 &att,
                                 TaskFault::Deadline,
-                                CellOutcome::TimedOut { attempts: attempt + 1 },
+                                CellOutcome::TimedOut {
+                                    attempts: attempt + 1,
+                                },
                             );
                             lost_seat = Some(seat);
                         }
                     }
                     CellState::Queued { .. } if budget_expired => {
                         *st = CellState::Resolved {
-                            outcome: CellOutcome::Skipped { reason: SkipReason::BudgetExhausted },
+                            outcome: CellOutcome::Skipped {
+                                reason: SkipReason::BudgetExhausted,
+                            },
                         };
                         emit(shared, TaskEvent::Skipped { cell: cell as u64 });
                         mark_resolved(shared);
@@ -649,18 +752,25 @@ mod tests {
 
     fn verify_log(log: &TaskLog, report: &BatchReport) {
         let audit = audit_batch(&log.events()).expect("stream well-formed");
-        audit.verify(&report.totals()).expect("conservation laws hold");
+        audit
+            .verify(&report.totals())
+            .expect("conservation laws hold");
     }
 
     fn square_tasks(n: usize) -> Vec<Task<u64>> {
-        (0..n).map(|i| Task::new(format!("cell-{i}"), move || (i as u64) * (i as u64))).collect()
+        (0..n)
+            .map(|i| Task::new(format!("cell-{i}"), move || (i as u64) * (i as u64)))
+            .collect()
     }
 
     #[test]
     fn clean_batch_completes_with_values_in_order() {
         let log = Arc::new(TaskLog::new());
-        let exec = Executor::new(ExecConfig { jobs: 4, ..ExecConfig::default() })
-            .with_log(Arc::clone(&log));
+        let exec = Executor::new(ExecConfig {
+            jobs: 4,
+            ..ExecConfig::default()
+        })
+        .with_log(Arc::clone(&log));
         let out = exec.run_batch(square_tasks(16));
         assert_eq!(out.report.status, BatchStatus::Complete);
         assert_eq!(out.report.jobs, 4);
@@ -702,10 +812,16 @@ mod tests {
         let out = exec.run_batch(tasks);
         assert_eq!(out.report.status, BatchStatus::Complete);
         assert_eq!(out.values[3], Some(99));
-        assert_eq!(out.report.cells[3].outcome, CellOutcome::Retried { retries: 1 });
+        assert_eq!(
+            out.report.cells[3].outcome,
+            CellOutcome::Retried { retries: 1 }
+        );
         assert_eq!(out.report.retries, 1);
         assert_eq!(out.report.errors.len(), 1);
-        assert!(matches!(out.report.errors[0].kind, TaskErrorKind::Panicked { .. }));
+        assert!(matches!(
+            out.report.errors[0].kind,
+            TaskErrorKind::Panicked { .. }
+        ));
         verify_log(&log, &out.report);
     }
 
@@ -716,7 +832,10 @@ mod tests {
             jobs: 2,
             max_retries: 2,
             backoff_base: Duration::from_millis(1),
-            chaos: Some(ExecChaosPlan { poison_cells: vec![1], ..ExecChaosPlan::default() }),
+            chaos: Some(ExecChaosPlan {
+                poison_cells: vec![1],
+                ..ExecChaosPlan::default()
+            }),
             ..ExecConfig::default()
         })
         .with_log(Arc::clone(&log));
@@ -741,15 +860,24 @@ mod tests {
             deadline: Some(Duration::from_millis(30)),
             max_retries: 1,
             backoff_base: Duration::from_millis(1),
-            chaos: Some(ExecChaosPlan { wedge_cells: vec![0], ..ExecChaosPlan::default() }),
+            chaos: Some(ExecChaosPlan {
+                wedge_cells: vec![0],
+                ..ExecChaosPlan::default()
+            }),
             ..ExecConfig::default()
         })
         .with_log(Arc::clone(&log));
         let out = exec.run_batch(square_tasks(6));
         assert_eq!(out.report.status, BatchStatus::Degraded);
         assert_eq!(out.values[0], None);
-        assert_eq!(out.report.cells[0].outcome, CellOutcome::TimedOut { attempts: 2 });
-        assert!(out.report.workers_lost >= 2, "each abandoned attempt loses a worker");
+        assert_eq!(
+            out.report.cells[0].outcome,
+            CellOutcome::TimedOut { attempts: 2 }
+        );
+        assert!(
+            out.report.workers_lost >= 2,
+            "each abandoned attempt loses a worker"
+        );
         for i in 1..6 {
             assert_eq!(out.values[i], Some((i as u64) * (i as u64)));
         }
@@ -773,7 +901,10 @@ mod tests {
         tasks.extend(square_tasks(5));
         let out = exec.run_batch(tasks);
         assert_eq!(out.report.status, BatchStatus::Degraded);
-        assert!(matches!(out.report.cells[0].outcome, CellOutcome::TimedOut { .. }));
+        assert!(matches!(
+            out.report.cells[0].outcome,
+            CellOutcome::TimedOut { .. }
+        ));
         let skipped = out
             .report
             .cells
@@ -782,7 +913,10 @@ mod tests {
             .count();
         assert!(skipped >= 1, "budget expiry must skip still-queued cells");
         let t = out.report.totals();
-        assert_eq!(t.completed + t.timed_out + t.panicked + t.skipped, t.submitted);
+        assert_eq!(
+            t.completed + t.timed_out + t.panicked + t.skipped,
+            t.submitted
+        );
         verify_log(&log, &out.report);
     }
 
@@ -791,13 +925,19 @@ mod tests {
         let log = Arc::new(TaskLog::new());
         let exec = Executor::new(ExecConfig {
             jobs: 3,
-            chaos: Some(ExecChaosPlan { kill_worker_rate: 1.0, ..ExecChaosPlan::default() }),
+            chaos: Some(ExecChaosPlan {
+                kill_worker_rate: 1.0,
+                ..ExecChaosPlan::default()
+            }),
             ..ExecConfig::default()
         })
         .with_log(Arc::clone(&log));
         let out = exec.run_batch(square_tasks(12));
         assert_eq!(out.report.status, BatchStatus::Complete);
-        assert_eq!(out.report.workers_lost, 12, "every attempt kills its worker");
+        assert_eq!(
+            out.report.workers_lost, 12,
+            "every attempt kills its worker"
+        );
         for (i, v) in out.values.iter().enumerate() {
             assert_eq!(*v, Some((i as u64) * (i as u64)));
         }
@@ -807,9 +947,12 @@ mod tests {
     #[test]
     fn values_are_identical_at_any_parallelism() {
         let run = |jobs| {
-            Executor::new(ExecConfig { jobs, ..ExecConfig::default() })
-                .run_batch(square_tasks(32))
-                .values
+            Executor::new(ExecConfig {
+                jobs,
+                ..ExecConfig::default()
+            })
+            .run_batch(square_tasks(32))
+            .values
         };
         assert_eq!(run(1), run(4));
         assert_eq!(run(1), run(8));

@@ -135,7 +135,11 @@ serde::impl_serde_struct!(TaskError {
 
 impl std::fmt::Display for TaskError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "cell {} `{}` attempt {}: ", self.cell, self.label, self.attempt)?;
+        write!(
+            f,
+            "cell {} `{}` attempt {}: ",
+            self.cell, self.label, self.attempt
+        )?;
         match &self.kind {
             TaskErrorKind::Panicked { message } => write!(f, "panicked: {message}"),
             TaskErrorKind::DeadlineExceeded { deadline_ms } => {
@@ -255,7 +259,10 @@ mod tests {
             status: BatchStatus::Degraded,
             jobs: 4,
             cells: vec![
-                CellReport { label: "a".into(), outcome: CellOutcome::Ok },
+                CellReport {
+                    label: "a".into(),
+                    outcome: CellOutcome::Ok,
+                },
                 CellReport {
                     label: "b".into(),
                     outcome: CellOutcome::Retried { retries: 2 },
@@ -266,11 +273,16 @@ mod tests {
                 },
                 CellReport {
                     label: "d".into(),
-                    outcome: CellOutcome::Panicked { attempts: 1, message: "boom".into() },
+                    outcome: CellOutcome::Panicked {
+                        attempts: 1,
+                        message: "boom".into(),
+                    },
                 },
                 CellReport {
                     label: "e".into(),
-                    outcome: CellOutcome::Skipped { reason: SkipReason::BudgetExhausted },
+                    outcome: CellOutcome::Skipped {
+                        reason: SkipReason::BudgetExhausted,
+                    },
                 },
             ],
             retries: 4,
@@ -280,7 +292,9 @@ mod tests {
                     cell: 3,
                     label: "d".into(),
                     attempt: 0,
-                    kind: TaskErrorKind::Panicked { message: "boom".into() },
+                    kind: TaskErrorKind::Panicked {
+                        message: "boom".into(),
+                    },
                 },
                 TaskError {
                     cell: 2,
@@ -310,7 +324,10 @@ mod tests {
         assert_eq!(t.timed_out, 1);
         assert_eq!(t.panicked, 1);
         assert_eq!(t.skipped, 1);
-        assert_eq!(t.completed + t.timed_out + t.panicked + t.skipped, t.submitted);
+        assert_eq!(
+            t.completed + t.timed_out + t.panicked + t.skipped,
+            t.submitted
+        );
         assert_eq!(report.completed(), 2);
         assert_eq!(report.degraded(), 3);
         assert_eq!(report.first_degraded().map(|c| c.label.as_str()), Some("c"));
@@ -321,12 +338,15 @@ mod tests {
         assert!(CellOutcome::Ok.is_ok());
         assert!(CellOutcome::Retried { retries: 1 }.is_ok());
         assert!(CellOutcome::TimedOut { attempts: 1 }.is_degraded());
-        assert!(
-            CellOutcome::Panicked { attempts: 1, message: String::new() }.is_degraded()
-        );
-        assert!(
-            CellOutcome::Skipped { reason: SkipReason::BudgetExhausted }.is_degraded()
-        );
+        assert!(CellOutcome::Panicked {
+            attempts: 1,
+            message: String::new()
+        }
+        .is_degraded());
+        assert!(CellOutcome::Skipped {
+            reason: SkipReason::BudgetExhausted
+        }
+        .is_degraded());
     }
 
     #[test]

@@ -125,13 +125,25 @@ impl AuditReport {
                 ),
             });
         }
-        law("speculative spawns", self.speculative_spawned, expected.threads_spawned)?;
-        law("committed threads", self.committed, expected.threads_committed)?;
+        law(
+            "speculative spawns",
+            self.speculative_spawned,
+            expected.threads_spawned,
+        )?;
+        law(
+            "committed threads",
+            self.committed,
+            expected.threads_committed,
+        )?;
         law("squashed threads", self.squashed, expected.threads_squashed)?;
         law("violations", self.violations, expected.violations)?;
         law("gated spawns", self.spawns_gated, expected.spawns_gated)?;
         law("demoted pairs", self.pairs_demoted, expected.pairs_demoted)?;
-        law("committed instructions", self.committed_size_sum, expected.committed_instructions)
+        law(
+            "committed instructions",
+            self.committed_size_sum,
+            expected.committed_instructions,
+        )
     }
 }
 
@@ -153,8 +165,10 @@ pub fn audit(events: &[Event]) -> Result<AuditReport, AuditError> {
     let mut demoted_pairs: BTreeSet<(u32, u32)> = BTreeSet::new();
     let mut report = AuditReport::default();
 
-    let live_spawn = |threads: &BTreeMap<u64, State>, thread: u64, what: &str, cycle: u64| {
-        match threads.get(&thread) {
+    let live_spawn =
+        |threads: &BTreeMap<u64, State>, thread: u64, what: &str, cycle: u64| match threads
+            .get(&thread)
+        {
             Some(State::Live { spawn_cycle }) => Ok(*spawn_cycle),
             Some(State::Done) => Err(stream_err(format!(
                 "{what} at cycle {cycle} for thread {thread}, which already retired"
@@ -162,13 +176,20 @@ pub fn audit(events: &[Event]) -> Result<AuditReport, AuditError> {
             None => Err(stream_err(format!(
                 "{what} at cycle {cycle} for thread {thread}, which was never spawned"
             ))),
-        }
-    };
+        };
 
     for ev in events {
         match *ev {
-            Event::ThreadSpawned { thread, cycle, speculative, .. } => {
-                if threads.insert(thread, State::Live { spawn_cycle: cycle }).is_some() {
+            Event::ThreadSpawned {
+                thread,
+                cycle,
+                speculative,
+                ..
+            } => {
+                if threads
+                    .insert(thread, State::Live { spawn_cycle: cycle })
+                    .is_some()
+                {
                     return Err(stream_err(format!(
                         "thread {thread} spawned twice (second at cycle {cycle})"
                     )));
@@ -178,7 +199,12 @@ pub fn audit(events: &[Event]) -> Result<AuditReport, AuditError> {
                     report.speculative_spawned += 1;
                 }
             }
-            Event::ThreadSquashed { thread, cycle, reason, .. } => {
+            Event::ThreadSquashed {
+                thread,
+                cycle,
+                reason,
+                ..
+            } => {
                 let spawn_cycle = live_spawn(&threads, thread, "squash", cycle)?;
                 if cycle < spawn_cycle {
                     return Err(stream_err(format!(
@@ -192,7 +218,13 @@ pub fn audit(events: &[Event]) -> Result<AuditReport, AuditError> {
                     SquashReason::InjectedFault => report.squashed_fault += 1,
                 }
             }
-            Event::ThreadCommitted { thread, cycle, spawn_cycle, size, .. } => {
+            Event::ThreadCommitted {
+                thread,
+                cycle,
+                spawn_cycle,
+                size,
+                ..
+            } => {
                 let spawned_at = live_spawn(&threads, thread, "commit", cycle)?;
                 if spawn_cycle != spawned_at {
                     return Err(stream_err(format!(
@@ -222,7 +254,9 @@ pub fn audit(events: &[Event]) -> Result<AuditReport, AuditError> {
                 live_spawn(&threads, thread, "gated spawn", cycle)?;
                 report.spawns_gated += 1;
             }
-            Event::PairDemoted { sp, cqip, cycle, .. } => {
+            Event::PairDemoted {
+                sp, cqip, cycle, ..
+            } => {
                 // Demotion is permanent, so a pair may be demoted at most
                 // once per run. The referencing thread is the squashed
                 // child, which has already retired (like forced-squash
@@ -264,7 +298,12 @@ mod tests {
     use crate::GateReason;
 
     fn spawn(thread: u64, cycle: u64, speculative: bool) -> Event {
-        Event::ThreadSpawned { thread, unit: thread as u32, cycle, speculative }
+        Event::ThreadSpawned {
+            thread,
+            unit: thread as u32,
+            cycle,
+            speculative,
+        }
     }
 
     #[test]
@@ -273,15 +312,31 @@ mod tests {
             spawn(0, 0, false),
             spawn(1, 3, true),
             spawn(2, 5, true),
-            Event::ViolationDetected { thread: 1, unit: 1, cycle: 8 },
-            Event::ThreadCommitted { thread: 0, unit: 0, cycle: 10, spawn_cycle: 0, size: 20 },
+            Event::ViolationDetected {
+                thread: 1,
+                unit: 1,
+                cycle: 8,
+            },
+            Event::ThreadCommitted {
+                thread: 0,
+                unit: 0,
+                cycle: 10,
+                spawn_cycle: 0,
+                size: 20,
+            },
             Event::ThreadSquashed {
                 thread: 2,
                 unit: 2,
                 cycle: 10,
                 reason: SquashReason::ControlMisspeculation,
             },
-            Event::ThreadCommitted { thread: 1, unit: 1, cycle: 14, spawn_cycle: 3, size: 11 },
+            Event::ThreadCommitted {
+                thread: 1,
+                unit: 1,
+                cycle: 14,
+                spawn_cycle: 3,
+                size: 11,
+            },
         ];
         let report = audit(&events).expect("audit");
         assert_eq!(report.spawned, 3);
@@ -309,7 +364,13 @@ mod tests {
     fn double_terminal_is_rejected() {
         let events = vec![
             spawn(0, 0, false),
-            Event::ThreadCommitted { thread: 0, unit: 0, cycle: 5, spawn_cycle: 0, size: 4 },
+            Event::ThreadCommitted {
+                thread: 0,
+                unit: 0,
+                cycle: 5,
+                spawn_cycle: 0,
+                size: 4,
+            },
             Event::ThreadSquashed {
                 thread: 0,
                 unit: 0,
@@ -335,7 +396,13 @@ mod tests {
     fn retirement_before_spawn_is_rejected() {
         let events = vec![
             spawn(0, 10, false),
-            Event::ThreadCommitted { thread: 0, unit: 0, cycle: 4, spawn_cycle: 10, size: 1 },
+            Event::ThreadCommitted {
+                thread: 0,
+                unit: 0,
+                cycle: 4,
+                spawn_cycle: 10,
+                size: 1,
+            },
         ];
         assert!(matches!(audit(&events), Err(AuditError::Stream { .. })));
     }
@@ -345,7 +412,9 @@ mod tests {
         let events = vec![spawn(0, 0, false), spawn(1, 2, true)];
         let report = audit(&events).expect("stream is well-formed");
         assert_eq!(report.in_flight_at_end, 2);
-        let err = report.verify(&ExpectedTotals::default()).expect_err("must fail");
+        let err = report
+            .verify(&ExpectedTotals::default())
+            .expect_err("must fail");
         assert!(matches!(err, AuditError::Conservation { .. }));
     }
 
@@ -353,7 +422,13 @@ mod tests {
     fn mismatched_totals_fail_verification() {
         let events = vec![
             spawn(0, 0, false),
-            Event::ThreadCommitted { thread: 0, unit: 0, cycle: 9, spawn_cycle: 0, size: 7 },
+            Event::ThreadCommitted {
+                thread: 0,
+                unit: 0,
+                cycle: 9,
+                spawn_cycle: 0,
+                size: 7,
+            },
         ];
         let report = audit(&events).expect("audit");
         let err = report
@@ -387,9 +462,26 @@ mod tests {
                 cycle: 8,
                 reason: SquashReason::ControlMisspeculation,
             },
-            Event::PairDemoted { thread: 1, unit: 1, cycle: 8, sp: 4, cqip: 9 },
-            Event::SpawnGated { thread: 0, unit: 0, cycle: 9, reason: GateReason::Demoted },
-            Event::ThreadCommitted { thread: 0, unit: 0, cycle: 12, spawn_cycle: 0, size: 6 },
+            Event::PairDemoted {
+                thread: 1,
+                unit: 1,
+                cycle: 8,
+                sp: 4,
+                cqip: 9,
+            },
+            Event::SpawnGated {
+                thread: 0,
+                unit: 0,
+                cycle: 9,
+                reason: GateReason::Demoted,
+            },
+            Event::ThreadCommitted {
+                thread: 0,
+                unit: 0,
+                cycle: 12,
+                spawn_cycle: 0,
+                size: 6,
+            },
         ];
         let report = audit(&events).expect("audit");
         assert_eq!(report.spawns_gated, 2);
@@ -411,8 +503,19 @@ mod tests {
     fn gated_spawn_by_a_retired_thread_is_rejected() {
         let events = vec![
             spawn(0, 0, false),
-            Event::ThreadCommitted { thread: 0, unit: 0, cycle: 4, spawn_cycle: 0, size: 3 },
-            Event::SpawnGated { thread: 0, unit: 0, cycle: 5, reason: GateReason::Demoted },
+            Event::ThreadCommitted {
+                thread: 0,
+                unit: 0,
+                cycle: 4,
+                spawn_cycle: 0,
+                size: 3,
+            },
+            Event::SpawnGated {
+                thread: 0,
+                unit: 0,
+                cycle: 5,
+                reason: GateReason::Demoted,
+            },
         ];
         assert!(matches!(audit(&events), Err(AuditError::Stream { .. })));
     }
@@ -421,8 +524,20 @@ mod tests {
     fn double_demotion_of_one_pair_is_rejected() {
         let events = vec![
             spawn(0, 0, false),
-            Event::PairDemoted { thread: 7, unit: 1, cycle: 3, sp: 4, cqip: 9 },
-            Event::PairDemoted { thread: 8, unit: 2, cycle: 6, sp: 4, cqip: 9 },
+            Event::PairDemoted {
+                thread: 7,
+                unit: 1,
+                cycle: 3,
+                sp: 4,
+                cqip: 9,
+            },
+            Event::PairDemoted {
+                thread: 8,
+                unit: 2,
+                cycle: 6,
+                sp: 4,
+                cqip: 9,
+            },
         ];
         assert!(matches!(audit(&events), Err(AuditError::Stream { .. })));
     }

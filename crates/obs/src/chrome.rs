@@ -33,13 +33,29 @@ pub fn trace(events: &[Event]) -> Value {
     for ev in events {
         horizon = horizon.max(ev.cycle());
         match *ev {
-            Event::ThreadSpawned { thread, unit, cycle, speculative } => {
+            Event::ThreadSpawned {
+                thread,
+                unit,
+                cycle,
+                speculative,
+            } => {
                 lives.insert(
                     thread,
-                    Lifetime { unit, start: cycle, speculative, end: None, size: 0 },
+                    Lifetime {
+                        unit,
+                        start: cycle,
+                        speculative,
+                        end: None,
+                        size: 0,
+                    },
                 );
             }
-            Event::ThreadSquashed { thread, cycle, reason, .. } => {
+            Event::ThreadSquashed {
+                thread,
+                cycle,
+                reason,
+                ..
+            } => {
                 if let Some(l) = lives.get_mut(&thread) {
                     l.end = Some((
                         cycle,
@@ -50,7 +66,12 @@ pub fn trace(events: &[Event]) -> Value {
                     ));
                 }
             }
-            Event::ThreadCommitted { thread, cycle, size, .. } => {
+            Event::ThreadCommitted {
+                thread,
+                cycle,
+                size,
+                ..
+            } => {
                 if let Some(l) = lives.get_mut(&thread) {
                     l.end = Some((cycle, "committed"));
                     l.size = size;
@@ -82,7 +103,9 @@ pub fn trace(events: &[Event]) -> Value {
     }
     for ev in events {
         let marker = match ev {
-            Event::ViolationDetected { .. } => Some(("violation", json!({ "thread": ev.thread() }))),
+            Event::ViolationDetected { .. } => {
+                Some(("violation", json!({ "thread": ev.thread() })))
+            }
             Event::FaultInjected { kind, .. } => Some((
                 "fault",
                 json!({ "thread": ev.thread(), "kind": kind.counter() }),
@@ -127,16 +150,36 @@ mod tests {
 
     fn sample() -> Vec<Event> {
         vec![
-            Event::ThreadSpawned { thread: 0, unit: 0, cycle: 0, speculative: false },
-            Event::ThreadSpawned { thread: 1, unit: 1, cycle: 5, speculative: true },
-            Event::ViolationDetected { thread: 1, unit: 1, cycle: 9 },
+            Event::ThreadSpawned {
+                thread: 0,
+                unit: 0,
+                cycle: 0,
+                speculative: false,
+            },
+            Event::ThreadSpawned {
+                thread: 1,
+                unit: 1,
+                cycle: 5,
+                speculative: true,
+            },
+            Event::ViolationDetected {
+                thread: 1,
+                unit: 1,
+                cycle: 9,
+            },
             Event::FaultInjected {
                 thread: 1,
                 unit: 1,
                 cycle: 11,
                 kind: FaultKind::CacheJitter { cycles: 2 },
             },
-            Event::ThreadCommitted { thread: 0, unit: 0, cycle: 20, spawn_cycle: 0, size: 40 },
+            Event::ThreadCommitted {
+                thread: 0,
+                unit: 0,
+                cycle: 20,
+                spawn_cycle: 0,
+                size: 40,
+            },
             Event::ThreadSquashed {
                 thread: 1,
                 unit: 1,
@@ -190,9 +233,25 @@ mod tests {
     #[test]
     fn unterminated_threads_extend_to_the_horizon() {
         let events = vec![
-            Event::ThreadSpawned { thread: 0, unit: 0, cycle: 0, speculative: false },
-            Event::ThreadSpawned { thread: 1, unit: 2, cycle: 8, speculative: true },
-            Event::ThreadCommitted { thread: 0, unit: 0, cycle: 30, spawn_cycle: 0, size: 12 },
+            Event::ThreadSpawned {
+                thread: 0,
+                unit: 0,
+                cycle: 0,
+                speculative: false,
+            },
+            Event::ThreadSpawned {
+                thread: 1,
+                unit: 2,
+                cycle: 8,
+                speculative: true,
+            },
+            Event::ThreadCommitted {
+                thread: 0,
+                unit: 0,
+                cycle: 30,
+                spawn_cycle: 0,
+                size: 12,
+            },
         ];
         let doc = trace(&events);
         let s = serde_json::to_string(&doc).expect("serialize");

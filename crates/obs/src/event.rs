@@ -14,8 +14,10 @@ pub enum SquashReason {
 
 impl SquashReason {
     /// Every reason, in a stable order (used to check the partition law).
-    pub const ALL: [SquashReason; 2] =
-        [SquashReason::ControlMisspeculation, SquashReason::InjectedFault];
+    pub const ALL: [SquashReason; 2] = [
+        SquashReason::ControlMisspeculation,
+        SquashReason::InjectedFault,
+    ];
 
     /// The counter name a [`MetricsRegistry`](crate::MetricsRegistry) files
     /// this reason under.
@@ -27,7 +29,10 @@ impl SquashReason {
     }
 }
 
-serde::impl_serde_enum!(SquashReason { ControlMisspeculation, InjectedFault });
+serde::impl_serde_enum!(SquashReason {
+    ControlMisspeculation,
+    InjectedFault
+});
 
 /// Why an adaptive gate declined a spawn attempt (see
 /// `specmt_spawn::AdaptivePolicy`).
@@ -55,7 +60,10 @@ impl GateReason {
     }
 }
 
-serde::impl_serde_enum!(GateReason { LowConfidence, Demoted });
+serde::impl_serde_enum!(GateReason {
+    LowConfidence,
+    Demoted
+});
 
 /// Which fault the injector fired (see `specmt_sim::FaultPlan`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,24 +292,55 @@ mod tests {
     #[test]
     fn events_round_trip_through_serde() {
         let events = vec![
-            Event::ThreadSpawned { thread: 0, unit: 0, cycle: 0, speculative: false },
+            Event::ThreadSpawned {
+                thread: 0,
+                unit: 0,
+                cycle: 0,
+                speculative: false,
+            },
             Event::ThreadSquashed {
                 thread: 3,
                 unit: 2,
                 cycle: 41,
                 reason: SquashReason::ControlMisspeculation,
             },
-            Event::ThreadCommitted { thread: 1, unit: 1, cycle: 99, spawn_cycle: 10, size: 64 },
-            Event::ViolationDetected { thread: 1, unit: 1, cycle: 55 },
-            Event::CacheAccess { thread: 0, unit: 0, cycle: 7, hit: true },
+            Event::ThreadCommitted {
+                thread: 1,
+                unit: 1,
+                cycle: 99,
+                spawn_cycle: 10,
+                size: 64,
+            },
+            Event::ViolationDetected {
+                thread: 1,
+                unit: 1,
+                cycle: 55,
+            },
+            Event::CacheAccess {
+                thread: 0,
+                unit: 0,
+                cycle: 7,
+                hit: true,
+            },
             Event::SpawnGated {
                 thread: 1,
                 unit: 1,
                 cycle: 60,
                 reason: GateReason::LowConfidence,
             },
-            Event::SpawnGated { thread: 0, unit: 0, cycle: 61, reason: GateReason::Demoted },
-            Event::PairDemoted { thread: 3, unit: 2, cycle: 44, sp: 12, cqip: 30 },
+            Event::SpawnGated {
+                thread: 0,
+                unit: 0,
+                cycle: 61,
+                reason: GateReason::Demoted,
+            },
+            Event::PairDemoted {
+                thread: 3,
+                unit: 2,
+                cycle: 44,
+                sp: 12,
+                cqip: 30,
+            },
             Event::FaultInjected {
                 thread: 2,
                 unit: 3,
@@ -316,7 +355,13 @@ mod tests {
 
     #[test]
     fn accessors_pull_the_common_fields() {
-        let e = Event::ThreadCommitted { thread: 7, unit: 3, cycle: 120, spawn_cycle: 80, size: 9 };
+        let e = Event::ThreadCommitted {
+            thread: 7,
+            unit: 3,
+            cycle: 120,
+            spawn_cycle: 80,
+            size: 9,
+        };
         assert_eq!(e.thread(), 7);
         assert_eq!(e.unit(), 3);
         assert_eq!(e.cycle(), 120);

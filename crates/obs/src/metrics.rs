@@ -89,7 +89,10 @@ impl MetricsRegistry {
         let mut counters: Vec<CounterSnapshot> = self
             .counters
             .iter()
-            .map(|(name, value)| CounterSnapshot { name: (*name).to_string(), value: *value })
+            .map(|(name, value)| CounterSnapshot {
+                name: (*name).to_string(),
+                value: *value,
+            })
             .collect();
         counters.push(CounterSnapshot {
             name: "threads_in_flight".to_string(),
@@ -112,7 +115,10 @@ impl MetricsRegistry {
                 buckets: h.buckets.clone(),
             })
             .collect();
-        Metrics { counters, histograms }
+        Metrics {
+            counters,
+            histograms,
+        }
     }
 }
 
@@ -132,7 +138,12 @@ impl EventSink for MetricsRegistry {
                 self.inc(reason.counter());
                 self.in_flight = self.in_flight.saturating_sub(1);
             }
-            Event::ThreadCommitted { cycle, spawn_cycle, size, .. } => {
+            Event::ThreadCommitted {
+                cycle,
+                spawn_cycle,
+                size,
+                ..
+            } => {
                 self.inc("threads_committed");
                 self.observe("thread_size", size);
                 self.observe("spawn_to_commit_cycles", cycle.saturating_sub(spawn_cycle));
@@ -187,7 +198,14 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<u64>,
 }
 
-serde::impl_serde_struct!(HistogramSnapshot { name, count, sum, min, max, buckets });
+serde::impl_serde_struct!(HistogramSnapshot {
+    name,
+    count,
+    sum,
+    min,
+    max,
+    buckets
+});
 
 impl HistogramSnapshot {
     /// Mean observed value, or 0.0 when empty.
@@ -210,12 +228,18 @@ pub struct Metrics {
     pub histograms: Vec<HistogramSnapshot>,
 }
 
-serde::impl_serde_struct!(Metrics { counters, histograms });
+serde::impl_serde_struct!(Metrics {
+    counters,
+    histograms
+});
 
 impl Metrics {
     /// Value of a counter (zero if absent from the snapshot).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|c| c.name == name).map_or(0, |c| c.value)
+        self.counters
+            .iter()
+            .find(|c| c.name == name)
+            .map_or(0, |c| c.value)
     }
 
     /// Look up a histogram by name.
@@ -251,9 +275,24 @@ mod tests {
     #[test]
     fn registry_folds_lifecycle_events() {
         let mut reg = MetricsRegistry::new();
-        reg.record(&Event::ThreadSpawned { thread: 0, unit: 0, cycle: 0, speculative: false });
-        reg.record(&Event::ThreadSpawned { thread: 1, unit: 1, cycle: 4, speculative: true });
-        reg.record(&Event::ThreadSpawned { thread: 2, unit: 2, cycle: 6, speculative: true });
+        reg.record(&Event::ThreadSpawned {
+            thread: 0,
+            unit: 0,
+            cycle: 0,
+            speculative: false,
+        });
+        reg.record(&Event::ThreadSpawned {
+            thread: 1,
+            unit: 1,
+            cycle: 4,
+            speculative: true,
+        });
+        reg.record(&Event::ThreadSpawned {
+            thread: 2,
+            unit: 2,
+            cycle: 6,
+            speculative: true,
+        });
         reg.record(&Event::ThreadSquashed {
             thread: 2,
             unit: 2,
@@ -274,8 +313,18 @@ mod tests {
             spawn_cycle: 4,
             size: 16,
         });
-        reg.record(&Event::CacheAccess { thread: 0, unit: 0, cycle: 3, hit: true });
-        reg.record(&Event::CacheAccess { thread: 0, unit: 0, cycle: 5, hit: false });
+        reg.record(&Event::CacheAccess {
+            thread: 0,
+            unit: 0,
+            cycle: 3,
+            hit: true,
+        });
+        reg.record(&Event::CacheAccess {
+            thread: 0,
+            unit: 0,
+            cycle: 5,
+            hit: false,
+        });
         reg.record(&Event::FaultInjected {
             thread: 1,
             unit: 1,
@@ -288,8 +337,19 @@ mod tests {
             cycle: 7,
             reason: GateReason::LowConfidence,
         });
-        reg.record(&Event::SpawnGated { thread: 0, unit: 0, cycle: 8, reason: GateReason::Demoted });
-        reg.record(&Event::PairDemoted { thread: 2, unit: 2, cycle: 9, sp: 3, cqip: 8 });
+        reg.record(&Event::SpawnGated {
+            thread: 0,
+            unit: 0,
+            cycle: 8,
+            reason: GateReason::Demoted,
+        });
+        reg.record(&Event::PairDemoted {
+            thread: 2,
+            unit: 2,
+            cycle: 9,
+            sp: 3,
+            cqip: 8,
+        });
 
         let m = reg.snapshot();
         assert_eq!(m.counter("threads_spawned"), 3);
@@ -320,7 +380,12 @@ mod tests {
     #[test]
     fn snapshot_round_trips_through_serde() {
         let mut reg = MetricsRegistry::new();
-        reg.record(&Event::ThreadSpawned { thread: 0, unit: 0, cycle: 0, speculative: false });
+        reg.record(&Event::ThreadSpawned {
+            thread: 0,
+            unit: 0,
+            cycle: 0,
+            speculative: false,
+        });
         reg.record(&Event::ThreadCommitted {
             thread: 0,
             unit: 0,

@@ -256,7 +256,11 @@ impl TaskAuditReport {
         }
         law("submitted cells", self.submitted, expected.submitted)?;
         law("completed cells", self.completed, expected.completed)?;
-        law("timed-out cells", self.exhausted_deadline, expected.timed_out)?;
+        law(
+            "timed-out cells",
+            self.exhausted_deadline,
+            expected.timed_out,
+        )?;
         law("panicked cells", self.exhausted_panic, expected.panicked)?;
         law("skipped cells", self.skipped, expected.skipped)?;
         law("retries", self.retries, expected.retries)
@@ -359,10 +363,19 @@ pub fn audit_batch(events: &[TaskEvent]) -> Result<TaskAuditReport, AuditError> 
                         )));
                     }
                 }
-                cells.insert(cell, CellState::Pending { next_attempt: attempt });
+                cells.insert(
+                    cell,
+                    CellState::Pending {
+                        next_attempt: attempt,
+                    },
+                );
                 report.retries += 1;
             }
-            TaskEvent::Exhausted { cell, attempts, fault } => {
+            TaskEvent::Exhausted {
+                cell,
+                attempts,
+                fault,
+            } => {
                 match cells.get(&cell) {
                     Some(CellState::Faulted { attempt }) if attempt + 1 == attempts => {}
                     other => {
@@ -401,7 +414,10 @@ pub fn audit_batch(events: &[TaskEvent]) -> Result<TaskAuditReport, AuditError> 
         .values()
         .filter(|s| !matches!(s, CellState::Done))
         .count() as u64;
-    if report.completed + report.exhausted_deadline + report.exhausted_panic + report.skipped
+    if report.completed
+        + report.exhausted_deadline
+        + report.exhausted_panic
+        + report.skipped
         + report.unresolved_at_end
         != report.submitted
     {
@@ -440,17 +456,58 @@ mod tests {
             TaskEvent::Submitted { cell: 1 },
             TaskEvent::Submitted { cell: 2 },
             TaskEvent::Submitted { cell: 3 },
-            TaskEvent::Started { cell: 0, attempt: 0, worker: 0 },
-            TaskEvent::Started { cell: 1, attempt: 0, worker: 1 },
-            TaskEvent::Completed { cell: 0, attempt: 0, worker: 0 },
-            TaskEvent::Faulted { cell: 1, attempt: 0, worker: 1, fault: TaskFault::Panic },
-            TaskEvent::Retried { cell: 1, attempt: 1 },
-            TaskEvent::Started { cell: 2, attempt: 0, worker: 0 },
-            TaskEvent::Faulted { cell: 2, attempt: 0, worker: 0, fault: TaskFault::Deadline },
+            TaskEvent::Started {
+                cell: 0,
+                attempt: 0,
+                worker: 0,
+            },
+            TaskEvent::Started {
+                cell: 1,
+                attempt: 0,
+                worker: 1,
+            },
+            TaskEvent::Completed {
+                cell: 0,
+                attempt: 0,
+                worker: 0,
+            },
+            TaskEvent::Faulted {
+                cell: 1,
+                attempt: 0,
+                worker: 1,
+                fault: TaskFault::Panic,
+            },
+            TaskEvent::Retried {
+                cell: 1,
+                attempt: 1,
+            },
+            TaskEvent::Started {
+                cell: 2,
+                attempt: 0,
+                worker: 0,
+            },
+            TaskEvent::Faulted {
+                cell: 2,
+                attempt: 0,
+                worker: 0,
+                fault: TaskFault::Deadline,
+            },
             TaskEvent::WorkerLost { worker: 0 },
-            TaskEvent::Exhausted { cell: 2, attempts: 1, fault: TaskFault::Deadline },
-            TaskEvent::Started { cell: 1, attempt: 1, worker: 1 },
-            TaskEvent::Completed { cell: 1, attempt: 1, worker: 1 },
+            TaskEvent::Exhausted {
+                cell: 2,
+                attempts: 1,
+                fault: TaskFault::Deadline,
+            },
+            TaskEvent::Started {
+                cell: 1,
+                attempt: 1,
+                worker: 1,
+            },
+            TaskEvent::Completed {
+                cell: 1,
+                attempt: 1,
+                worker: 1,
+            },
             TaskEvent::Skipped { cell: 3 },
         ];
         let report = audit_batch(&events).expect("audit");
@@ -476,57 +533,100 @@ mod tests {
 
     #[test]
     fn double_submission_rejected() {
-        let events = vec![TaskEvent::Submitted { cell: 0 }, TaskEvent::Submitted { cell: 0 }];
-        assert!(matches!(audit_batch(&events), Err(AuditError::Stream { .. })));
+        let events = vec![
+            TaskEvent::Submitted { cell: 0 },
+            TaskEvent::Submitted { cell: 0 },
+        ];
+        assert!(matches!(
+            audit_batch(&events),
+            Err(AuditError::Stream { .. })
+        ));
     }
 
     #[test]
     fn completion_without_start_rejected() {
         let events = vec![
             TaskEvent::Submitted { cell: 0 },
-            TaskEvent::Completed { cell: 0, attempt: 0, worker: 0 },
+            TaskEvent::Completed {
+                cell: 0,
+                attempt: 0,
+                worker: 0,
+            },
         ];
-        assert!(matches!(audit_batch(&events), Err(AuditError::Stream { .. })));
+        assert!(matches!(
+            audit_batch(&events),
+            Err(AuditError::Stream { .. })
+        ));
     }
 
     #[test]
     fn out_of_order_attempt_rejected() {
         let events = vec![
             TaskEvent::Submitted { cell: 0 },
-            TaskEvent::Started { cell: 0, attempt: 1, worker: 0 },
+            TaskEvent::Started {
+                cell: 0,
+                attempt: 1,
+                worker: 0,
+            },
         ];
-        assert!(matches!(audit_batch(&events), Err(AuditError::Stream { .. })));
+        assert!(matches!(
+            audit_batch(&events),
+            Err(AuditError::Stream { .. })
+        ));
     }
 
     #[test]
     fn retry_without_fault_rejected() {
         let events = vec![
             TaskEvent::Submitted { cell: 0 },
-            TaskEvent::Started { cell: 0, attempt: 0, worker: 0 },
-            TaskEvent::Retried { cell: 0, attempt: 1 },
+            TaskEvent::Started {
+                cell: 0,
+                attempt: 0,
+                worker: 0,
+            },
+            TaskEvent::Retried {
+                cell: 0,
+                attempt: 1,
+            },
         ];
-        assert!(matches!(audit_batch(&events), Err(AuditError::Stream { .. })));
+        assert!(matches!(
+            audit_batch(&events),
+            Err(AuditError::Stream { .. })
+        ));
     }
 
     #[test]
     fn skip_of_running_cell_rejected() {
         let events = vec![
             TaskEvent::Submitted { cell: 0 },
-            TaskEvent::Started { cell: 0, attempt: 0, worker: 0 },
+            TaskEvent::Started {
+                cell: 0,
+                attempt: 0,
+                worker: 0,
+            },
             TaskEvent::Skipped { cell: 0 },
         ];
-        assert!(matches!(audit_batch(&events), Err(AuditError::Stream { .. })));
+        assert!(matches!(
+            audit_batch(&events),
+            Err(AuditError::Stream { .. })
+        ));
     }
 
     #[test]
     fn unresolved_cell_fails_verification() {
         let events = vec![
             TaskEvent::Submitted { cell: 0 },
-            TaskEvent::Started { cell: 0, attempt: 0, worker: 0 },
+            TaskEvent::Started {
+                cell: 0,
+                attempt: 0,
+                worker: 0,
+            },
         ];
         let report = audit_batch(&events).expect("stream is well-formed");
         assert_eq!(report.unresolved_at_end, 1);
-        let err = report.verify(&BatchTotals::default()).expect_err("must fail");
+        let err = report
+            .verify(&BatchTotals::default())
+            .expect_err("must fail");
         assert!(matches!(err, AuditError::Conservation { .. }));
     }
 
@@ -534,8 +634,16 @@ mod tests {
     fn mismatched_totals_fail_verification() {
         let events = vec![
             TaskEvent::Submitted { cell: 0 },
-            TaskEvent::Started { cell: 0, attempt: 0, worker: 0 },
-            TaskEvent::Completed { cell: 0, attempt: 0, worker: 0 },
+            TaskEvent::Started {
+                cell: 0,
+                attempt: 0,
+                worker: 0,
+            },
+            TaskEvent::Completed {
+                cell: 0,
+                attempt: 0,
+                worker: 0,
+            },
         ];
         let report = audit_batch(&events).expect("audit");
         let err = report
@@ -553,13 +661,33 @@ mod tests {
     fn task_events_round_trip_through_serde() {
         let events = vec![
             TaskEvent::Submitted { cell: 0 },
-            TaskEvent::Started { cell: 0, attempt: 0, worker: 3 },
-            TaskEvent::Faulted { cell: 0, attempt: 0, worker: 3, fault: TaskFault::Deadline },
-            TaskEvent::Retried { cell: 0, attempt: 1 },
-            TaskEvent::Exhausted { cell: 0, attempts: 2, fault: TaskFault::Panic },
+            TaskEvent::Started {
+                cell: 0,
+                attempt: 0,
+                worker: 3,
+            },
+            TaskEvent::Faulted {
+                cell: 0,
+                attempt: 0,
+                worker: 3,
+                fault: TaskFault::Deadline,
+            },
+            TaskEvent::Retried {
+                cell: 0,
+                attempt: 1,
+            },
+            TaskEvent::Exhausted {
+                cell: 0,
+                attempts: 2,
+                fault: TaskFault::Panic,
+            },
             TaskEvent::Skipped { cell: 9 },
             TaskEvent::WorkerLost { worker: 1 },
-            TaskEvent::Completed { cell: 2, attempt: 1, worker: 0 },
+            TaskEvent::Completed {
+                cell: 2,
+                attempt: 1,
+                worker: 0,
+            },
         ];
         let s = serde_json::to_string(&events).expect("serialize");
         let back: Vec<TaskEvent> = serde_json::from_str(&s).expect("deserialize");

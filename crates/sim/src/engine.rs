@@ -252,7 +252,6 @@ impl<'a> Simulator<'a> {
         self.config.validate()?;
         Engine::new(self, Some(sink)).run()
     }
-
 }
 
 /// Per-window execution state threaded through [`Engine::step`]: the
@@ -556,10 +555,7 @@ impl<'a, 's> Engine<'a, 's> {
         let max_block = deps.max_addr() / cfg.cache.block_bytes.max(1) as u64;
         let max_accesses = trace.len() as u64 + 1;
         let predictor = cfg.value_predictor.build(cfg.predictor_budget);
-        let faults = cfg
-            .faults
-            .filter(|p| p.is_active())
-            .map(FaultInjector::new);
+        let faults = cfg.faults.filter(|p| p.is_active()).map(FaultInjector::new);
         let metrics = cfg.observe.then(MetricsRegistry::new);
         let observing = sink.is_some() || metrics.is_some();
         let rob_ring = vec![0u64; cfg.rob_entries];
@@ -1115,7 +1111,11 @@ impl<'a, 's> Engine<'a, 's> {
             let units = &mut st.fu16[off..off + cnt];
             // Every ISA class fields one or two units; pick with a
             // single compare instead of a scan.
-            let unit = if cnt == 2 && units[1] < units[0] { 1 } else { 0 };
+            let unit = if cnt == 2 && units[1] < units[0] {
+                1
+            } else {
+                0
+            };
             let t2 = t1.max(units[unit]);
             units[unit] = t2 + self.fu_incr[class];
             t2
@@ -1239,7 +1239,11 @@ impl<'a, 's> Engine<'a, 's> {
                 self.confs[t.tu].record(hit);
             }
             let redirect = if hit {
-                if taken { f + 1 } else { st.fetch_cycle }
+                if taken {
+                    f + 1
+                } else {
+                    st.fetch_cycle
+                }
             } else {
                 done + self.cfg.mispredict_penalty
             };
@@ -1286,8 +1290,10 @@ impl<'a, 's> Engine<'a, 's> {
                         };
                         let mut guess = predictor.predict(key);
                         predictor.train(key, actual);
-                        let corrupted =
-                            self.faults.as_mut().is_some_and(FaultInjector::roll_corrupt_value);
+                        let corrupted = self
+                            .faults
+                            .as_mut()
+                            .is_some_and(FaultInjector::roll_corrupt_value);
                         if corrupted {
                             let delta = self.faults.as_mut().map_or(0, FaultInjector::corruption);
                             guess = guess.wrapping_add(delta);
@@ -1342,7 +1348,10 @@ impl<'a, 's> Engine<'a, 's> {
         }
         // Chaos: the spawn opportunity is silently lost (a flaky spawn
         // unit), before any candidate is even considered.
-        let spawn_dropped = self.faults.as_mut().is_some_and(FaultInjector::roll_drop_spawn);
+        let spawn_dropped = self
+            .faults
+            .as_mut()
+            .is_some_and(FaultInjector::roll_drop_spawn);
         if spawn_dropped {
             self.result.fault_dropped_spawns += 1;
             self.result.spawns_declined += 1;
@@ -1380,7 +1389,11 @@ impl<'a, 's> Engine<'a, 's> {
             // Scoreboard demotion: a runtime blacklist fed by squashes,
             // consulted like removal but permanent and with its own
             // accounting (the gate is the sole decider for this decline).
-            if self.scoreboard.as_ref().is_some_and(|sb| sb.is_demoted(pid)) {
+            if self
+                .scoreboard
+                .as_ref()
+                .is_some_and(|sb| sb.is_demoted(pid))
+            {
                 if self.cfg.reassign {
                     continue;
                 }
@@ -1586,7 +1599,10 @@ impl<'a, 's> Engine<'a, 's> {
 
         // Chaos: condemn the retiring thread's pair as if a dynamic policy
         // had removed it.
-        let forced_removal = self.faults.as_mut().is_some_and(FaultInjector::roll_remove_pair);
+        let forced_removal = self
+            .faults
+            .as_mut()
+            .is_some_and(FaultInjector::roll_remove_pair);
         if forced_removal && !self.pairs.removed[pid] {
             self.pairs.removed[pid] = true;
             self.pairs.removed_at[pid] = exec_done;
@@ -1624,7 +1640,8 @@ impl<'a, 's> Engine<'a, 's> {
             // for the strict policy, the (max_companions+1)-th for the
             // few-threads variant the paper also evaluates.
             self.succ_spawns.clear();
-            self.succ_spawns.extend(self.chain.iter().map(|c| c.spawn_time));
+            self.succ_spawns
+                .extend(self.chain.iter().map(|c| c.spawn_time));
             self.succ_spawns.extend(doomed.iter().map(|d| d.spawn_time));
             self.succ_spawns.sort_unstable();
             let alone_until = self
@@ -1692,7 +1709,9 @@ mod tests {
     #[test]
     fn single_threaded_baseline_is_sane() {
         let trace = independent_loop(50);
-        let r = Simulator::new(&trace, SimConfig::single_threaded()).run().expect("simulation");
+        let r = Simulator::new(&trace, SimConfig::single_threaded())
+            .run()
+            .expect("simulation");
         assert_eq!(r.committed_instructions, trace.len() as u64);
         assert_eq!(r.threads_committed, 1);
         let ipc = r.ipc();
@@ -1704,10 +1723,14 @@ mod tests {
     #[test]
     fn loop_iteration_spawning_speeds_up() {
         let trace = independent_loop(200);
-        let baseline = Simulator::new(&trace, SimConfig::single_threaded()).run().expect("simulation");
+        let baseline = Simulator::new(&trace, SimConfig::single_threaded())
+            .run()
+            .expect("simulation");
         // Self pair at the loop head (@3).
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
-        let spec = Simulator::with_table(&trace, SimConfig::paper(8), &table).run().expect("simulation");
+        let spec = Simulator::with_table(&trace, SimConfig::paper(8), &table)
+            .run()
+            .expect("simulation");
         assert_eq!(spec.committed_instructions, trace.len() as u64);
         assert!(spec.threads_spawned > 100);
         assert!(
@@ -1722,8 +1745,12 @@ mod tests {
     #[test]
     fn empty_table_matches_single_threaded_cycles() {
         let trace = independent_loop(30);
-        let a = Simulator::new(&trace, SimConfig::single_threaded()).run().expect("simulation");
-        let b = Simulator::new(&trace, SimConfig::paper(16)).run().expect("simulation");
+        let a = Simulator::new(&trace, SimConfig::single_threaded())
+            .run()
+            .expect("simulation");
+        let b = Simulator::new(&trace, SimConfig::paper(16))
+            .run()
+            .expect("simulation");
         assert_eq!(a.cycles, b.cycles);
     }
 
@@ -1731,8 +1758,12 @@ mod tests {
     fn more_thread_units_never_slow_down_this_loop() {
         let trace = independent_loop(100);
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
-        let c4 = Simulator::with_table(&trace, SimConfig::paper(4), &table).run().expect("simulation");
-        let c16 = Simulator::with_table(&trace, SimConfig::paper(16), &table).run().expect("simulation");
+        let c4 = Simulator::with_table(&trace, SimConfig::paper(4), &table)
+            .run()
+            .expect("simulation");
+        let c16 = Simulator::with_table(&trace, SimConfig::paper(16), &table)
+            .run()
+            .expect("simulation");
         assert!(c16.cycles <= c4.cycles);
     }
 
@@ -1742,7 +1773,9 @@ mod tests {
         // never executes again: every spawn is a control misspeculation.
         let trace = independent_loop(20);
         let table = SpawnTable::from_pairs(vec![pair(3, 0)]);
-        let r = Simulator::with_table(&trace, SimConfig::paper(4), &table).run().expect("simulation");
+        let r = Simulator::with_table(&trace, SimConfig::paper(4), &table)
+            .run()
+            .expect("simulation");
         assert!(r.threads_spawned >= 1);
         assert_eq!(r.threads_squashed, r.threads_spawned);
         assert_eq!(r.committed_instructions, trace.len() as u64);
@@ -1758,7 +1791,8 @@ mod tests {
                 SimConfig::paper(8).with_value_predictor(kind),
                 &table,
             )
-            .run().expect("simulation")
+            .run()
+            .expect("simulation")
         };
         let perfect = run(ValuePredictorKind::Perfect);
         let stride = run(ValuePredictorKind::Stride);
@@ -1797,11 +1831,15 @@ mod tests {
         b.halt();
         let trace = Trace::generate(b.build().unwrap(), 100_000).unwrap();
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
-        let r = Simulator::with_table(&trace, SimConfig::paper(8), &table).run().expect("simulation");
+        let r = Simulator::with_table(&trace, SimConfig::paper(8), &table)
+            .run()
+            .expect("simulation");
         assert!(r.violations > 0, "expected memory violations");
         assert_eq!(r.committed_instructions, trace.len() as u64);
         // The serial chain caps the benefit.
-        let baseline = Simulator::new(&trace, SimConfig::single_threaded()).run().expect("simulation");
+        let baseline = Simulator::new(&trace, SimConfig::single_threaded())
+            .run()
+            .expect("simulation");
         assert!(r.cycles * 3 > baseline.cycles);
     }
 
@@ -1809,9 +1847,13 @@ mod tests {
     fn init_overhead_costs_cycles() {
         let trace = independent_loop(100);
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
-        let free = Simulator::with_table(&trace, SimConfig::paper(8), &table).run().expect("simulation");
+        let free = Simulator::with_table(&trace, SimConfig::paper(8), &table)
+            .run()
+            .expect("simulation");
         let taxed =
-            Simulator::with_table(&trace, SimConfig::paper(8).with_init_overhead(8), &table).run().expect("simulation");
+            Simulator::with_table(&trace, SimConfig::paper(8).with_init_overhead(8), &table)
+                .run()
+                .expect("simulation");
         assert!(taxed.cycles > free.cycles);
     }
 
@@ -1843,7 +1885,9 @@ mod tests {
                 reinstate_after: None,
                 max_companions: 0,
             });
-        let r = Simulator::with_table(&trace, cfg, &table).run().expect("simulation");
+        let r = Simulator::with_table(&trace, cfg, &table)
+            .run()
+            .expect("simulation");
         assert!(r.pairs_removed >= 1, "pair should be removed: {r:?}");
     }
 
@@ -1853,10 +1897,14 @@ mod tests {
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
         let mut cfg = SimConfig::paper(8);
         cfg.min_observed_size = Some(100); // iterations are ~36 instructions
-        let r = Simulator::with_table(&trace, cfg, &table).run().expect("simulation");
+        let r = Simulator::with_table(&trace, cfg, &table)
+            .run()
+            .expect("simulation");
         assert_eq!(r.pairs_removed, 1);
         // After removal, spawning stops.
-        let unlimited = Simulator::with_table(&trace, SimConfig::paper(8), &table).run().expect("simulation");
+        let unlimited = Simulator::with_table(&trace, SimConfig::paper(8), &table)
+            .run()
+            .expect("simulation");
         assert!(r.threads_spawned < unlimited.threads_spawned);
     }
 
@@ -1864,7 +1912,9 @@ mod tests {
     fn branch_predictor_tables_persist_across_threads() {
         let trace = independent_loop(300);
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
-        let r = Simulator::with_table(&trace, SimConfig::paper(4), &table).run().expect("simulation");
+        let r = Simulator::with_table(&trace, SimConfig::paper(4), &table)
+            .run()
+            .expect("simulation");
         // The loop branch is overwhelmingly taken; persistent gshare state
         // should predict it well despite thread switches.
         assert!(r.branch_hit_ratio() > 0.8, "{}", r.branch_hit_ratio());
@@ -1886,7 +1936,10 @@ mod tests {
             let mut cfg = SimConfig::single_threaded();
             cfg.fetch_width = fetch;
             cfg.issue_width = issue;
-            Simulator::new(&trace, cfg).run().expect("simulation").cycles
+            Simulator::new(&trace, cfg)
+                .run()
+                .expect("simulation")
+                .cycles
         };
         let narrow = run(1, 4);
         let wide = run(4, 4);
@@ -1911,8 +1964,9 @@ mod tests {
             reinstate_after: None,
             max_companions: 0,
         };
-        let strict =
-            Simulator::with_table(&trace, SimConfig::paper(8).with_removal(base), &table).run().expect("simulation");
+        let strict = Simulator::with_table(&trace, SimConfig::paper(8).with_removal(base), &table)
+            .run()
+            .expect("simulation");
         let few = Simulator::with_table(
             &trace,
             SimConfig::paper(8).with_removal(crate::RemovalPolicy {
@@ -1921,7 +1975,8 @@ mod tests {
             }),
             &table,
         )
-        .run().expect("simulation");
+        .run()
+        .expect("simulation");
         assert!(few.pairs_removed >= strict.pairs_removed);
         assert_eq!(few.committed_instructions, trace.len() as u64);
     }
@@ -1944,7 +1999,10 @@ mod tests {
             let mut cfg = SimConfig::single_threaded();
             cfg.phys_regs = phys;
             cfg.rob_entries = 256; // isolate the rename constraint
-            Simulator::new(&trace, cfg).run().expect("simulation").cycles
+            Simulator::new(&trace, cfg)
+                .run()
+                .expect("simulation")
+                .cycles
         };
         assert!(run(36) > run(64), "36: {} vs 64: {}", run(36), run(64));
         assert!(run(64) >= run(256));
@@ -1966,7 +2024,10 @@ mod tests {
         let run = |rob: usize| {
             let mut cfg = SimConfig::single_threaded();
             cfg.rob_entries = rob;
-            Simulator::new(&trace, cfg).run().expect("simulation").cycles
+            Simulator::new(&trace, cfg)
+                .run()
+                .expect("simulation")
+                .cycles
         };
         assert!(run(4) > run(64), "rob4 {} vs rob64 {}", run(4), run(64));
     }
@@ -1977,9 +2038,13 @@ mod tests {
     fn init_overhead_is_charged_to_the_spawned_thread() {
         let trace = independent_loop(2);
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
-        let base = Simulator::with_table(&trace, SimConfig::paper(2), &table).run().expect("simulation");
+        let base = Simulator::with_table(&trace, SimConfig::paper(2), &table)
+            .run()
+            .expect("simulation");
         let taxed =
-            Simulator::with_table(&trace, SimConfig::paper(2).with_init_overhead(40), &table).run().expect("simulation");
+            Simulator::with_table(&trace, SimConfig::paper(2).with_init_overhead(40), &table)
+                .run()
+                .expect("simulation");
         assert!(taxed.cycles >= base.cycles);
         assert!(
             taxed.cycles <= base.cycles + 40 * (base.threads_spawned + 1),
@@ -1996,7 +2061,9 @@ mod tests {
     fn cqip_conflicts_decline_spawns() {
         let trace = independent_loop(50);
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
-        let r = Simulator::with_table(&trace, SimConfig::paper(16), &table).run().expect("simulation");
+        let r = Simulator::with_table(&trace, SimConfig::paper(16), &table)
+            .run()
+            .expect("simulation");
         assert!(r.spawns_declined > 0, "{r:?}");
         // Committed thread count can never exceed iterations + 1.
         assert!(r.threads_committed <= 51);
@@ -2008,10 +2075,14 @@ mod tests {
     fn reassign_spawns_at_least_as_often() {
         let trace = independent_loop(100);
         let table = SpawnTable::from_pairs(vec![pair(3, 3), pair(3, 41)]);
-        let base = Simulator::with_table(&trace, SimConfig::paper(8), &table).run().expect("simulation");
+        let base = Simulator::with_table(&trace, SimConfig::paper(8), &table)
+            .run()
+            .expect("simulation");
         let mut cfg = SimConfig::paper(8);
         cfg.reassign = true;
-        let re = Simulator::with_table(&trace, cfg, &table).run().expect("simulation");
+        let re = Simulator::with_table(&trace, cfg, &table)
+            .run()
+            .expect("simulation");
         assert!(re.threads_spawned >= base.threads_spawned);
         assert_eq!(re.committed_instructions, trace.len() as u64);
     }
@@ -2036,9 +2107,13 @@ mod tests {
             b.halt();
             Trace::generate(b.build().unwrap(), 100_000).unwrap()
         };
-        let dense = Simulator::new(&build(8), SimConfig::single_threaded()).run().expect("simulation");
+        let dense = Simulator::new(&build(8), SimConfig::single_threaded())
+            .run()
+            .expect("simulation");
         // 4 KiB stride: every access a fresh block, conflict misses galore.
-        let sparse = Simulator::new(&build(4096), SimConfig::single_threaded()).run().expect("simulation");
+        let sparse = Simulator::new(&build(4096), SimConfig::single_threaded())
+            .run()
+            .expect("simulation");
         // Dense: one miss per four accesses (8B stride in 32B blocks).
         // Sparse: every access misses (4 KiB stride cycles few sets).
         assert!(sparse.cache_misses > dense.cache_misses * 3);
@@ -2059,7 +2134,9 @@ mod tests {
             max_companions: 0,
         };
         let permanent =
-            Simulator::with_table(&trace, SimConfig::paper(4).with_removal(removal), &table).run().expect("simulation");
+            Simulator::with_table(&trace, SimConfig::paper(4).with_removal(removal), &table)
+                .run()
+                .expect("simulation");
         let reinstated = Simulator::with_table(
             &trace,
             SimConfig::paper(4).with_removal(crate::RemovalPolicy {
@@ -2068,7 +2145,8 @@ mod tests {
             }),
             &table,
         )
-        .run().expect("simulation");
+        .run()
+        .expect("simulation");
         assert!(permanent.pairs_removed >= 1);
         assert!(
             reinstated.threads_spawned > permanent.threads_spawned,
@@ -2086,7 +2164,9 @@ mod tests {
         let trace = independent_loop(200);
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
         for tus in [2usize, 4, 8] {
-            let r = Simulator::with_table(&trace, SimConfig::paper(tus), &table).run().expect("simulation");
+            let r = Simulator::with_table(&trace, SimConfig::paper(tus), &table)
+                .run()
+                .expect("simulation");
             let act = r.avg_active_threads();
             assert!(act <= tus as f64 + 1e-9, "{act} > {tus}");
             assert!(act >= 1.0);
@@ -2104,8 +2184,10 @@ mod tests {
         // never recurs, so its child squashes at every one of those
         // retires — the squash-heavy pair the scoreboard exists to kill.
         let plain = SpawnTable::from_pairs(vec![pair(3, 3), pair(5, 0)]);
-        let policy =
-            AdaptivePolicy { demote_threshold: Some(2), confidence_threshold: None };
+        let policy = AdaptivePolicy {
+            demote_threshold: Some(2),
+            confidence_threshold: None,
+        };
         let table = plain.clone().with_adaptive(policy);
         let base = Simulator::with_table(&trace, SimConfig::paper(4), &plain)
             .run()
@@ -2128,9 +2210,10 @@ mod tests {
         use specmt_spawn::AdaptivePolicy;
         let trace = independent_loop(100);
         let plain = SpawnTable::from_pairs(vec![pair(3, 3)]);
-        let gated = plain
-            .clone()
-            .with_adaptive(AdaptivePolicy { demote_threshold: None, confidence_threshold: Some(0) });
+        let gated = plain.clone().with_adaptive(AdaptivePolicy {
+            demote_threshold: None,
+            confidence_threshold: Some(0),
+        });
         let a = Simulator::with_table(&trace, SimConfig::paper(8), &plain)
             .run()
             .expect("simulation");

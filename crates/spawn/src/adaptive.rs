@@ -55,8 +55,7 @@ impl AdaptivePolicy {
     /// policies leave the engine on the exact same code path as a table
     /// with no policy at all.
     pub fn is_active(&self) -> bool {
-        self.demote_threshold.is_some()
-            || self.confidence_threshold.is_some_and(|t| t > 0)
+        self.demote_threshold.is_some() || self.confidence_threshold.is_some_and(|t| t > 0)
     }
 }
 
@@ -182,7 +181,10 @@ impl AdaptiveState {
 
 /// Builds the one-line description shared by both wrapper schemes.
 fn wrap_describe(what: &str, threshold: u8, base: &dyn SpawnScheme) -> String {
-    format!("{what} (threshold {threshold}) over the `{}` scheme", base.name())
+    format!(
+        "{what} (threshold {threshold}) over the `{}` scheme",
+        base.name()
+    )
 }
 
 /// Runs the wrapped scheme's selection and attaches `policy` to its table.
@@ -216,7 +218,11 @@ impl SpawnScheme for ScoreboardScheme {
     }
 
     fn describe(&self) -> String {
-        wrap_describe("runtime pair scoreboard demoting squash-prone pairs", self.threshold, self.base.as_ref())
+        wrap_describe(
+            "runtime pair scoreboard demoting squash-prone pairs",
+            self.threshold,
+            self.base.as_ref(),
+        )
     }
 
     fn select(&self, trace: &Trace, params: &SchemeParams) -> Result<SpawnTable, SchemeError> {
@@ -258,7 +264,11 @@ impl SpawnScheme for ConfGatedScheme {
     }
 
     fn describe(&self) -> String {
-        wrap_describe("branch-predictor confidence gating of spawns", self.threshold, self.base.as_ref())
+        wrap_describe(
+            "branch-predictor confidence gating of spawns",
+            self.threshold,
+            self.base.as_ref(),
+        )
     }
 
     fn select(&self, trace: &Trace, params: &SchemeParams) -> Result<SpawnTable, SchemeError> {
@@ -283,20 +293,35 @@ mod tests {
     #[test]
     fn inactive_policies_are_recognised() {
         assert!(!AdaptivePolicy::default().is_active());
-        assert!(!AdaptivePolicy { demote_threshold: None, confidence_threshold: Some(0) }
-            .is_active());
-        assert!(AdaptivePolicy { demote_threshold: Some(1), confidence_threshold: None }
-            .is_active());
-        assert!(AdaptivePolicy { demote_threshold: None, confidence_threshold: Some(1) }
-            .is_active());
+        assert!(!AdaptivePolicy {
+            demote_threshold: None,
+            confidence_threshold: Some(0)
+        }
+        .is_active());
+        assert!(AdaptivePolicy {
+            demote_threshold: Some(1),
+            confidence_threshold: None
+        }
+        .is_active());
+        assert!(AdaptivePolicy {
+            demote_threshold: None,
+            confidence_threshold: Some(1)
+        }
+        .is_active());
     }
 
     #[test]
     fn policy_round_trips_through_serde() {
         for policy in [
             AdaptivePolicy::default(),
-            AdaptivePolicy { demote_threshold: Some(3), confidence_threshold: None },
-            AdaptivePolicy { demote_threshold: Some(2), confidence_threshold: Some(6) },
+            AdaptivePolicy {
+                demote_threshold: Some(3),
+                confidence_threshold: None,
+            },
+            AdaptivePolicy {
+                demote_threshold: Some(2),
+                confidence_threshold: Some(6),
+            },
         ] {
             let s = serde_json::to_string(&policy).expect("serialize");
             let back: AdaptivePolicy = serde_json::from_str(&s).expect("deserialize");
@@ -308,10 +333,22 @@ mod tests {
     fn policy_fields_are_fingerprinted() {
         let digests: Vec<String> = [
             AdaptivePolicy::default(),
-            AdaptivePolicy { demote_threshold: Some(2), confidence_threshold: None },
-            AdaptivePolicy { demote_threshold: Some(3), confidence_threshold: None },
-            AdaptivePolicy { demote_threshold: None, confidence_threshold: Some(2) },
-            AdaptivePolicy { demote_threshold: Some(2), confidence_threshold: Some(2) },
+            AdaptivePolicy {
+                demote_threshold: Some(2),
+                confidence_threshold: None,
+            },
+            AdaptivePolicy {
+                demote_threshold: Some(3),
+                confidence_threshold: None,
+            },
+            AdaptivePolicy {
+                demote_threshold: None,
+                confidence_threshold: Some(2),
+            },
+            AdaptivePolicy {
+                demote_threshold: Some(2),
+                confidence_threshold: Some(2),
+            },
         ]
         .iter()
         .map(|p| p.digest().hex())
@@ -319,7 +356,11 @@ mod tests {
         let mut unique = digests.clone();
         unique.sort();
         unique.dedup();
-        assert_eq!(unique.len(), digests.len(), "policy digests collide: {digests:?}");
+        assert_eq!(
+            unique.len(),
+            digests.len(),
+            "policy digests collide: {digests:?}"
+        );
     }
 
     #[test]
@@ -353,6 +394,9 @@ mod tests {
     fn zero_threshold_is_clamped_to_one() {
         let mut sb = AdaptiveState::new(1, 0);
         assert!(!sb.is_demoted(0), "no pair is pre-demoted");
-        assert!(sb.record_squash(0), "first squash demotes at the clamped threshold");
+        assert!(
+            sb.record_squash(0),
+            "first squash demotes at the clamped threshold"
+        );
     }
 }

@@ -262,7 +262,11 @@ pub struct NamespaceUsage {
     pub bytes: u64,
 }
 
-serde::impl_serde_struct!(NamespaceUsage { namespace, entries, bytes });
+serde::impl_serde_struct!(NamespaceUsage {
+    namespace,
+    entries,
+    bytes
+});
 
 /// What [`Store::gc`] removed and kept.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -858,10 +862,16 @@ mod tests {
             .finish();
         // The handle that wrote `old` treats the new key as sweep growth —
         // invalidation only fires for siblings inherited from a prior run.
-        assert_eq!(store.get_json::<u64>(Namespace::SimResult, "a-tiny", &new), None);
+        assert_eq!(
+            store.get_json::<u64>(Namespace::SimResult, "a-tiny", &new),
+            None
+        );
         assert_eq!(store.invalidations(Namespace::SimResult), 0);
         let store = scratch.store();
-        assert_eq!(store.get_json::<u64>(Namespace::SimResult, "a-tiny", &new), None);
+        assert_eq!(
+            store.get_json::<u64>(Namespace::SimResult, "a-tiny", &new),
+            None
+        );
         assert_eq!(store.invalidations(Namespace::SimResult), 1);
         let records = store.invalidation_records();
         assert_eq!(records.len(), 1);
@@ -869,7 +879,10 @@ mod tests {
         assert_eq!(records[0].stage, "simulate");
         // A different *name* in the same namespace is a cold start.
         let other = k("simulate", 3);
-        assert_eq!(store.get_json::<u64>(Namespace::SimResult, "b-tiny", &other), None);
+        assert_eq!(
+            store.get_json::<u64>(Namespace::SimResult, "b-tiny", &other),
+            None
+        );
         assert_eq!(store.invalidations(Namespace::SimResult), 1);
     }
 
@@ -888,8 +901,14 @@ mod tests {
         let s2 = k("simulate", 2);
         store.put_json(Namespace::SimResult, "a-tiny", &s1, &1u64);
         store.put_json(Namespace::SimResult, "a-tiny", &s2, &2u64);
-        assert_eq!(store.get_json::<u64>(Namespace::SimResult, "a-tiny", &s1), Some(1));
-        assert_eq!(store.get_json::<u64>(Namespace::SimResult, "a-tiny", &s2), Some(2));
+        assert_eq!(
+            store.get_json::<u64>(Namespace::SimResult, "a-tiny", &s1),
+            Some(1)
+        );
+        assert_eq!(
+            store.get_json::<u64>(Namespace::SimResult, "a-tiny", &s2),
+            Some(2)
+        );
     }
 
     #[test]
@@ -899,11 +918,17 @@ mod tests {
         let key = k("profile", 1);
         store.put_json(Namespace::Profile, "a-tiny", &key, &7u64);
         fs::write(
-            scratch.0.join("profile").join(format!("a-tiny.{}.json", key.key.hex())),
+            scratch
+                .0
+                .join("profile")
+                .join(format!("a-tiny.{}.json", key.key.hex())),
             b"{ not json",
         )
         .expect("corrupt entry");
-        assert_eq!(store.get_json::<u64>(Namespace::Profile, "a-tiny", &key), None);
+        assert_eq!(
+            store.get_json::<u64>(Namespace::Profile, "a-tiny", &key),
+            None
+        );
     }
 
     #[test]
@@ -915,7 +940,10 @@ mod tests {
             store.put_bytes(Namespace::SimResult, name, &key, &vec![0u8; 1000]);
         }
         let usage = store.usage();
-        let sim = usage.iter().find(|u| u.namespace == "simresult").expect("ns");
+        let sim = usage
+            .iter()
+            .find(|u| u.namespace == "simresult")
+            .expect("ns");
         assert_eq!(sim.entries, 3);
         assert!(sim.bytes >= 3000);
         let total: u64 = usage.iter().map(|u| u.bytes).sum();

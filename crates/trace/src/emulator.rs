@@ -372,7 +372,13 @@ mod tests {
         emu.set_memory_limit(4 * 32 * 1024);
         let err = emu.run(1_000_000).unwrap_err();
         assert!(
-            matches!(err, TraceError::Limit { resource: "memory", .. }),
+            matches!(
+                err,
+                TraceError::Limit {
+                    resource: "memory",
+                    ..
+                }
+            ),
             "{err:?}"
         );
     }

@@ -71,8 +71,7 @@ fn suite_traces() -> Vec<(&'static str, Trace, SpawnTable)> {
     specmt::workloads::suite(Scale::Tiny)
         .into_iter()
         .map(|w| {
-            let trace =
-                Trace::generate(w.program.clone(), w.step_budget).expect("suite trace");
+            let trace = Trace::generate(w.program.clone(), w.step_budget).expect("suite trace");
             let table = profile_pairs(&trace, &ProfileConfig::default()).table;
             (w.name, trace, table)
         })
@@ -104,8 +103,8 @@ fn invariants_survive_one_hundred_fault_storms() {
                 "{name} under {plan:?}: thread accounting leak"
             );
             // The event stream must independently reproduce those totals.
-            let report = audit(log.events())
-                .unwrap_or_else(|e| panic!("{name} under {plan:?}: {e}"));
+            let report =
+                audit(log.events()).unwrap_or_else(|e| panic!("{name} under {plan:?}: {e}"));
             report
                 .verify(&r.observed_totals())
                 .unwrap_or_else(|e| panic!("{name} under {plan:?}: {e}"));
@@ -162,7 +161,10 @@ fn different_seeds_usually_differ() {
     };
     let a = run(heavy(1));
     let b = run(heavy(2));
-    assert_ne!((a.cycles, a.fault_jitter_cycles), (b.cycles, b.fault_jitter_cycles));
+    assert_ne!(
+        (a.cycles, a.fault_jitter_cycles),
+        (b.cycles, b.fault_jitter_cycles)
+    );
 }
 
 #[test]
@@ -198,7 +200,10 @@ use specmt::obs::{audit_batch, TaskLog};
 
 /// One simulation task per suite workload, each a pure closure over its
 /// `Arc`'d trace and spawn table (re-runnable for retries).
-fn sim_cells() -> (Vec<Task<specmt::sim::SimResult>>, Vec<specmt::sim::SimResult>) {
+fn sim_cells() -> (
+    Vec<Task<specmt::sim::SimResult>>,
+    Vec<specmt::sim::SimResult>,
+) {
     let mut tasks = Vec::new();
     let mut reference = Vec::new();
     for (name, trace, table) in suite_traces() {
@@ -225,13 +230,25 @@ fn sim_cells() -> (Vec<Task<specmt::sim::SimResult>>, Vec<specmt::sim::SimResult
 fn check_storm(cfg: ExecConfig, desc: &str) {
     let (tasks, reference) = sim_cells();
     let log = Arc::new(TaskLog::new());
-    let out = Executor::new(cfg).with_log(Arc::clone(&log)).run_batch(tasks);
-    assert_eq!(out.report.status, BatchStatus::Degraded, "{desc}: expected degradation");
+    let out = Executor::new(cfg)
+        .with_log(Arc::clone(&log))
+        .run_batch(tasks);
+    assert_eq!(
+        out.report.status,
+        BatchStatus::Degraded,
+        "{desc}: expected degradation"
+    );
     for (i, value) in out.values.iter().enumerate() {
         match value {
             Some(r) => {
-                assert!(out.report.cells[i].outcome.is_ok(), "{desc}: value without Ok outcome");
-                assert_eq!(r, &reference[i], "{desc}: chaos changed a completed cell's result");
+                assert!(
+                    out.report.cells[i].outcome.is_ok(),
+                    "{desc}: value without Ok outcome"
+                );
+                assert_eq!(
+                    r, &reference[i],
+                    "{desc}: chaos changed a completed cell's result"
+                );
             }
             None => assert!(
                 out.report.cells[i].outcome.is_degraded(),
@@ -281,22 +298,34 @@ fn repeated_panic_cell_exhausts_with_accurate_accounting() {
         jobs: 2,
         max_retries: 3,
         backoff_base: Duration::from_millis(1),
-        chaos: Some(ExecChaosPlan { poison_cells: vec![2], ..ExecChaosPlan::default() }),
+        chaos: Some(ExecChaosPlan {
+            poison_cells: vec![2],
+            ..ExecChaosPlan::default()
+        }),
         ..ExecConfig::default()
     })
     .with_log(Arc::clone(&log))
     .run_batch(tasks);
     assert_eq!(out.report.status, BatchStatus::Degraded);
     assert!(
-        matches!(out.report.cells[2].outcome, CellOutcome::Panicked { attempts: 4, .. }),
+        matches!(
+            out.report.cells[2].outcome,
+            CellOutcome::Panicked { attempts: 4, .. }
+        ),
         "retries must be exhausted before degrading: {:?}",
         out.report.cells[2].outcome
     );
     assert_eq!(out.report.retries, 3);
-    assert_eq!(out.report.errors.len(), 4, "every failed attempt leaves a TaskError");
+    assert_eq!(
+        out.report.errors.len(),
+        4,
+        "every failed attempt leaves a TaskError"
+    );
     assert!(out.report.errors.iter().all(|e| e.cell == 2));
     let audit = audit_batch(&log.events()).expect("stream well-formed");
-    audit.verify(&out.report.totals()).expect("conservation laws hold");
+    audit
+        .verify(&out.report.totals())
+        .expect("conservation laws hold");
 }
 
 #[test]
@@ -308,18 +337,29 @@ fn delay_past_deadline_times_out_without_poisoning_the_pool() {
         deadline: Some(Duration::from_millis(400)),
         max_retries: 1,
         backoff_base: Duration::from_millis(1),
-        chaos: Some(ExecChaosPlan { wedge_cells: vec![0], ..ExecChaosPlan::default() }),
+        chaos: Some(ExecChaosPlan {
+            wedge_cells: vec![0],
+            ..ExecChaosPlan::default()
+        }),
         ..ExecConfig::default()
     })
     .with_log(Arc::clone(&log))
     .run_batch(tasks);
-    assert_eq!(out.report.cells[0].outcome, CellOutcome::TimedOut { attempts: 2 });
-    assert!(out.report.workers_lost >= 2, "both wedged attempts abandon their worker");
+    assert_eq!(
+        out.report.cells[0].outcome,
+        CellOutcome::TimedOut { attempts: 2 }
+    );
+    assert!(
+        out.report.workers_lost >= 2,
+        "both wedged attempts abandon their worker"
+    );
     for (i, want) in reference.iter().enumerate().skip(1) {
         assert_eq!(out.values[i].as_ref(), Some(want));
     }
     let audit = audit_batch(&log.events()).expect("stream well-formed");
-    audit.verify(&out.report.totals()).expect("conservation laws hold");
+    audit
+        .verify(&out.report.totals())
+        .expect("conservation laws hold");
 }
 
 #[test]
@@ -329,16 +369,24 @@ fn worker_kill_storm_still_completes_every_cell() {
     let log = Arc::new(TaskLog::new());
     let out = Executor::new(ExecConfig {
         jobs: 3,
-        chaos: Some(ExecChaosPlan { kill_worker_rate: 1.0, ..ExecChaosPlan::default() }),
+        chaos: Some(ExecChaosPlan {
+            kill_worker_rate: 1.0,
+            ..ExecChaosPlan::default()
+        }),
         ..ExecConfig::default()
     })
     .with_log(Arc::clone(&log))
     .run_batch(tasks);
     assert_eq!(out.report.status, BatchStatus::Complete);
-    assert_eq!(out.report.workers_lost, n, "every attempt takes its worker with it");
+    assert_eq!(
+        out.report.workers_lost, n,
+        "every attempt takes its worker with it"
+    );
     for (i, r) in reference.iter().enumerate() {
         assert_eq!(out.values[i].as_ref(), Some(r));
     }
     let audit = audit_batch(&log.events()).expect("stream well-formed");
-    audit.verify(&out.report.totals()).expect("conservation laws hold");
+    audit
+        .verify(&out.report.totals())
+        .expect("conservation laws hold");
 }

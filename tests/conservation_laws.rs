@@ -44,8 +44,7 @@ fn cases() -> &'static [Case] {
         specmt::workloads::suite(Scale::Tiny)
             .into_iter()
             .map(|w| {
-                let trace =
-                    Trace::generate(w.program.clone(), w.step_budget).expect("suite trace");
+                let trace = Trace::generate(w.program.clone(), w.step_budget).expect("suite trace");
                 let tables = BUILTIN_SCHEME_NAMES
                     .iter()
                     .map(|&scheme| {
@@ -55,7 +54,11 @@ fn cases() -> &'static [Case] {
                         (scheme, table)
                     })
                     .collect();
-                Case { name: w.name, trace, tables }
+                Case {
+                    name: w.name,
+                    trace,
+                    tables,
+                }
             })
             .collect()
     })
@@ -104,30 +107,61 @@ fn check(
 
     // The metrics registry is a third, independent accounting of the same
     // stream; it must agree with both.
-    let m = r.metrics.clone().unwrap_or_else(|| panic!("{label}: observe=true lost metrics"));
+    let m = r
+        .metrics
+        .clone()
+        .unwrap_or_else(|| panic!("{label}: observe=true lost metrics"));
     check_metrics(label, &m, &report, &r);
 
     (report, r)
 }
 
 fn check_metrics(label: &str, m: &Metrics, report: &AuditReport, r: &SimResult) {
-    assert_eq!(m.counter("threads_spawned"), report.spawned, "{label}: metrics spawned");
+    assert_eq!(
+        m.counter("threads_spawned"),
+        report.spawned,
+        "{label}: metrics spawned"
+    );
     assert_eq!(
         m.counter("speculative_spawns"),
         r.threads_spawned,
         "{label}: metrics speculative spawns"
     );
-    assert_eq!(m.counter("threads_committed"), r.threads_committed, "{label}: metrics commits");
-    assert_eq!(m.counter("threads_squashed"), r.threads_squashed, "{label}: metrics squashes");
+    assert_eq!(
+        m.counter("threads_committed"),
+        r.threads_committed,
+        "{label}: metrics commits"
+    );
+    assert_eq!(
+        m.counter("threads_squashed"),
+        r.threads_squashed,
+        "{label}: metrics squashes"
+    );
     assert_eq!(
         m.counter("squashed_control_misspeculation") + m.counter("squashed_injected_fault"),
         m.counter("threads_squashed"),
         "{label}: metrics squash reasons do not partition"
     );
-    assert_eq!(m.counter("violations"), r.violations, "{label}: metrics violations");
-    assert_eq!(m.counter("cache_hits"), r.cache_hits, "{label}: metrics cache hits");
-    assert_eq!(m.counter("cache_misses"), r.cache_misses, "{label}: metrics cache misses");
-    assert_eq!(m.counter("threads_in_flight"), 0, "{label}: metrics in-flight at end");
+    assert_eq!(
+        m.counter("violations"),
+        r.violations,
+        "{label}: metrics violations"
+    );
+    assert_eq!(
+        m.counter("cache_hits"),
+        r.cache_hits,
+        "{label}: metrics cache hits"
+    );
+    assert_eq!(
+        m.counter("cache_misses"),
+        r.cache_misses,
+        "{label}: metrics cache misses"
+    );
+    assert_eq!(
+        m.counter("threads_in_flight"),
+        0,
+        "{label}: metrics in-flight at end"
+    );
     assert_eq!(
         m.counter("fault_forced_squashes"),
         r.fault_forced_squashes,
@@ -138,26 +172,44 @@ fn check_metrics(label: &str, m: &Metrics, report: &AuditReport, r: &SimResult) 
         r.fault_jitter_cycles,
         "{label}: metrics jitter cycles"
     );
-    assert_eq!(m.counter("spawns_gated"), r.spawns_gated, "{label}: metrics gated spawns");
-    assert_eq!(m.counter("pairs_demoted"), r.pairs_demoted, "{label}: metrics demoted pairs");
+    assert_eq!(
+        m.counter("spawns_gated"),
+        r.spawns_gated,
+        "{label}: metrics gated spawns"
+    );
+    assert_eq!(
+        m.counter("pairs_demoted"),
+        r.pairs_demoted,
+        "{label}: metrics demoted pairs"
+    );
     assert_eq!(
         m.counter("gated_low_confidence") + m.counter("gated_demoted"),
         m.counter("spawns_gated"),
         "{label}: gate reasons do not partition the gated spawns"
     );
 
-    let sizes = m.histogram("thread_size").unwrap_or_else(|| panic!("{label}: no size histogram"));
-    assert_eq!(sizes.count, r.threads_committed, "{label}: size histogram count");
-    assert_eq!(sizes.sum, r.committed_instructions, "{label}: size histogram sum");
+    let sizes = m
+        .histogram("thread_size")
+        .unwrap_or_else(|| panic!("{label}: no size histogram"));
     assert_eq!(
-        sizes.buckets,
-        r.thread_size_histogram,
+        sizes.count, r.threads_committed,
+        "{label}: size histogram count"
+    );
+    assert_eq!(
+        sizes.sum, r.committed_instructions,
+        "{label}: size histogram sum"
+    );
+    assert_eq!(
+        sizes.buckets, r.thread_size_histogram,
         "{label}: size histogram buckets diverge from SimResult's"
     );
     let lat = m
         .histogram("spawn_to_commit_cycles")
         .unwrap_or_else(|| panic!("{label}: no latency histogram"));
-    assert_eq!(lat.count, r.threads_committed, "{label}: latency histogram count");
+    assert_eq!(
+        lat.count, r.threads_committed,
+        "{label}: latency histogram count"
+    );
     assert_eq!(
         lat.sum, r.thread_lifetime_cycles,
         "{label}: spawn-to-commit cycles diverge from thread_lifetime_cycles"
@@ -171,12 +223,19 @@ fn every_workload_and_scheme_conserves() {
         for (scheme, table) in &case.tables {
             let label = format!("{}/{scheme}", case.name);
             let (report, _) = check(&label, &case.trace, SimConfig::paper(16), table);
-            assert_eq!(report.spawned, report.speculative_spawned + 1, "{label}: one root");
+            assert_eq!(
+                report.spawned,
+                report.speculative_spawned + 1,
+                "{label}: one root"
+            );
             speculative_runs += u64::from(report.speculative_spawned > 0);
         }
     }
     // The suite exercises real speculation, not 72 single-threaded runs.
-    assert!(speculative_runs > 20, "only {speculative_runs} runs ever spawned");
+    assert!(
+        speculative_runs > 20,
+        "only {speculative_runs} runs ever spawned"
+    );
 }
 
 // Tests in this workspace run with the package dir (crates/core) as CWD.
@@ -225,9 +284,16 @@ fn windowed_event_stream_matches_reference_order() {
     }
     let golden: Vec<(String, u64, String)> =
         serde_json::from_str(STREAMS_GOLDEN).expect("stream golden parses");
-    assert_eq!(golden.len(), got.len(), "golden and run cover different streams");
+    assert_eq!(
+        golden.len(),
+        got.len(),
+        "golden and run cover different streams"
+    );
     for (want, have) in golden.iter().zip(&got) {
-        assert_eq!(want, have, "observed stream diverges from the golden (label, count, hash)");
+        assert_eq!(
+            want, have,
+            "observed stream diverges from the golden (label, count, hash)"
+        );
     }
 }
 
@@ -275,7 +341,11 @@ fn adaptive_gates_conserve_under_ten_fault_plans() {
                 .map(move |t| (c, t))
         })
         .collect();
-    assert_eq!(adaptive.len(), 2 * cases.len(), "both adaptive schemes built per workload");
+    assert_eq!(
+        adaptive.len(),
+        2 * cases.len(),
+        "both adaptive schemes built per workload"
+    );
 
     let mut state = 0xada9_71ce_u64;
     let mut any_gated = false;
@@ -293,7 +363,10 @@ fn adaptive_gates_conserve_under_ten_fault_plans() {
         // Every SpawnGated is exactly one declined spawn: the stream count
         // matches the engine's gate counter (check() already verified
         // that), and gated spawns are a subset of the declines.
-        assert_eq!(report.spawns_gated, r.spawns_gated, "{label}: stream vs gate counter");
+        assert_eq!(
+            report.spawns_gated, r.spawns_gated,
+            "{label}: stream vs gate counter"
+        );
         assert!(
             r.spawns_gated <= r.spawns_declined,
             "{label}: {} gated spawns but only {} declines",
@@ -305,16 +378,28 @@ fn adaptive_gates_conserve_under_ten_fault_plans() {
         // engine's own audit pins `pairs_demoted` to the scoreboard's
         // demotion count, and `verify` pinned the stream to the counter —
         // assert the endpoints directly for a readable failure.
-        assert_eq!(report.pairs_demoted, r.pairs_demoted, "{label}: stream vs scoreboard");
+        assert_eq!(
+            report.pairs_demoted, r.pairs_demoted,
+            "{label}: stream vs scoreboard"
+        );
         if *scheme == "conf-gated" {
-            assert_eq!(r.pairs_demoted, 0, "{label}: gate-only scheme demoted a pair");
+            assert_eq!(
+                r.pairs_demoted, 0,
+                "{label}: gate-only scheme demoted a pair"
+            );
         }
 
         any_gated |= r.spawns_gated > 0;
         any_demoted |= r.pairs_demoted > 0;
     }
-    assert!(any_gated, "no storm ever gated a spawn; the gate laws are vacuous");
-    assert!(any_demoted, "no storm ever demoted a pair; the scoreboard laws are vacuous");
+    assert!(
+        any_gated,
+        "no storm ever gated a spawn; the gate laws are vacuous"
+    );
+    assert!(
+        any_demoted,
+        "no storm ever demoted a pair; the scoreboard laws are vacuous"
+    );
 }
 
 #[test]
@@ -352,6 +437,12 @@ fn conservation_survives_twenty_five_fault_plans() {
         any_fault_fired |= report.faults_injected > 0;
         any_forced_squash |= report.squashed_fault > 0;
     }
-    assert!(any_fault_fired, "no plan injected anything -- the storm is a no-op");
-    assert!(any_forced_squash, "no plan ever forced a squash; reason partition untested");
+    assert!(
+        any_fault_fired,
+        "no plan injected anything -- the storm is a no-op"
+    );
+    assert!(
+        any_forced_squash,
+        "no plan ever forced a squash; reason partition untested"
+    );
 }

@@ -47,7 +47,10 @@ fn grid_results_bit_identical_across_jobs() {
     };
     let serial = run_at(1);
     let wide = run_at(8);
-    assert_eq!(serial.results, wide.results, "SimResults must not depend on --jobs");
+    assert_eq!(
+        serial.results, wide.results,
+        "SimResults must not depend on --jobs"
+    );
     assert_eq!(serial.values, wide.values);
     assert_eq!(serial.means, wide.means);
 }
@@ -87,7 +90,10 @@ fn run_cell_with_fault(
     })
     .with_log(Arc::clone(log));
     let mut batch = exec.run_batch(vec![task]);
-    (batch.report.cells[0].outcome.clone(), batch.values[0].take())
+    (
+        batch.report.cells[0].outcome.clone(),
+        batch.values[0].take(),
+    )
 }
 
 proptest! {
@@ -124,14 +130,17 @@ fn outcome_strategy() -> impl Strategy<Value = CellOutcome> {
         Just(CellOutcome::Ok),
         (1u32..6).prop_map(|retries| CellOutcome::Retried { retries }),
         (1u32..6).prop_map(|attempts| CellOutcome::TimedOut { attempts }),
-        (1u32..6, prop::collection::vec(0x20u8..0x7f, 0..24))
-            .prop_map(|(attempts, bytes)| CellOutcome::Panicked {
+        (1u32..6, prop::collection::vec(0x20u8..0x7f, 0..24)).prop_map(|(attempts, bytes)| {
+            CellOutcome::Panicked {
                 attempts,
                 // Printable ASCII, so quotes and backslashes exercise the
                 // JSON escaping path.
                 message: bytes.into_iter().map(char::from).collect(),
-            }),
-        Just(CellOutcome::Skipped { reason: SkipReason::BudgetExhausted }),
+            }
+        }),
+        Just(CellOutcome::Skipped {
+            reason: SkipReason::BudgetExhausted
+        }),
     ]
 }
 

@@ -58,8 +58,8 @@ fn every_paper_figure_matches_golden_output() {
     // Run against a disabled store so this test neither depends on nor
     // pollutes shared state (tests/store_golden_differential.rs covers the
     // store-on path against the same capture).
-    let h = Harness::load_at_with(Scale::Tiny, Store::disabled())
-        .expect("suite loads at tiny scale");
+    let h =
+        Harness::load_at_with(Scale::Tiny, Store::disabled()).expect("suite loads at tiny scale");
     let figs = figures::all(&h).expect("all figures build");
 
     let golden = blocks(GOLDEN);
@@ -88,8 +88,8 @@ fn every_paper_figure_matches_golden_output() {
 /// ablations (scheme-parameter sweeps plus `ExperimentSpec` hardware grids).
 #[test]
 fn extra_studies_match_golden_output() {
-    let h = Harness::load_at_with(Scale::Tiny, Store::disabled())
-        .expect("suite loads at tiny scale");
+    let h =
+        Harness::load_at_with(Scale::Tiny, Store::disabled()).expect("suite loads at tiny scale");
     for (id, golden) in [
         ("crossinput", include_str!("golden/crossinput_tiny.txt")),
         ("ablations", include_str!("golden/ablations_tiny.txt")),
@@ -136,8 +136,8 @@ fn num(v: &serde_json::Value) -> f64 {
 /// ```
 #[test]
 fn adaptation_figure_matches_golden_and_wins_under_drift() {
-    let h = Harness::load_at_with(Scale::Tiny, Store::disabled())
-        .expect("suite loads at tiny scale");
+    let h =
+        Harness::load_at_with(Scale::Tiny, Store::disabled()).expect("suite loads at tiny scale");
     let figs = figures::fig_adaptation(&h).expect("adaptation figure builds");
     let rendered: String = figs.iter().map(|f| f.render_block()).collect();
 
@@ -157,7 +157,10 @@ fn adaptation_figure_matches_golden_and_wins_under_drift() {
     let Some(serde_json::Value::Array(rows)) = json.get("rows") else {
         panic!("fig_adaptation json carries a rows array");
     };
-    assert!(rows.len() >= 4, "the drift study must cover >= 4 cross-input pairs");
+    assert!(
+        rows.len() >= 4,
+        "the drift study must cover >= 4 cross-input pairs"
+    );
     let wins = rows
         .iter()
         .filter(|row| {
@@ -167,5 +170,8 @@ fn adaptation_figure_matches_golden_and_wins_under_drift() {
             best > 1.05 * profile
         })
         .count();
-    assert!(wins >= 1, "no adaptive scheme beat static profile on any drifted input");
+    assert!(
+        wins >= 1,
+        "no adaptive scheme beat static profile on any drifted input"
+    );
 }

@@ -31,7 +31,11 @@ fn registry_output(h: &Harness) -> (Vec<String>, Vec<(String, String)>) {
     assert!(
         outcome.errors.is_empty(),
         "registry must build cleanly at tiny scale: {:?}",
-        outcome.errors.iter().map(|(id, e)| format!("{id}: {e}")).collect::<Vec<_>>()
+        outcome
+            .errors
+            .iter()
+            .map(|(id, e)| format!("{id}: {e}"))
+            .collect::<Vec<_>>()
     );
     let summary = outcome
         .summary
@@ -50,8 +54,8 @@ fn registry_output(h: &Harness) -> (Vec<String>, Vec<(String, String)>) {
 fn figure_registry_is_bit_identical_with_observation_on() {
     // Run against a disabled store so this test neither depends on nor
     // pollutes shared state (same discipline as figure_golden.rs).
-    let h = Harness::load_at_with(Scale::Tiny, Store::disabled())
-        .expect("suite loads at tiny scale");
+    let h =
+        Harness::load_at_with(Scale::Tiny, Store::disabled()).expect("suite loads at tiny scale");
 
     let (summary_off, blocks_off) = registry_output(&h);
     h.set_observe(true);
@@ -75,7 +79,10 @@ fn figure_registry_is_bit_identical_with_observation_on() {
 /// Strips the metrics snapshot (the one field allowed to differ) and
 /// asserts it was actually populated first.
 fn stripped(label: &str, mut r: SimResult) -> SimResult {
-    assert!(r.metrics.is_some(), "{label}: observe = true produced no metrics snapshot");
+    assert!(
+        r.metrics.is_some(),
+        "{label}: observe = true produced no metrics snapshot"
+    );
     r.metrics = None;
     r
 }

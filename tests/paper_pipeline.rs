@@ -107,7 +107,9 @@ fn committed_instructions_always_equal_the_trace() {
 fn ideal_speculation_is_never_slower() {
     for bench in Bench::suite(Scale::Small).expect("suite traces") {
         let profile = bench.profile_table(&ProfileConfig::default());
-        let r = bench.run(SimConfig::paper(16), &profile.table).expect("simulation");
+        let r = bench
+            .run(SimConfig::paper(16), &profile.table)
+            .expect("simulation");
         let speedup = bench.speedup(&r).expect("baseline simulation");
         assert!(
             speedup >= 0.99,
@@ -179,7 +181,9 @@ fn unit_scaling_is_monotone_for_ijpeg() {
     let table = bench.profile_table(&ProfileConfig::default()).table;
     let mut last = u64::MAX;
     for tus in [1usize, 2, 4, 8, 16] {
-        let r = bench.run(SimConfig::paper(tus), &table).expect("simulation");
+        let r = bench
+            .run(SimConfig::paper(tus), &table)
+            .expect("simulation");
         assert!(
             r.cycles <= last,
             "ijpeg slowed down going to {tus} units: {} > {last}",

@@ -118,7 +118,10 @@ fn cold_and_warm_store_runs_match_the_store_off_golden() {
         .into_iter()
         .filter(|n| n.contains("-train-"))
         .collect();
-    assert!(copies.is_empty(), "training artifacts stored under a second name: {copies:?}");
+    assert!(
+        copies.is_empty(),
+        "training artifacts stored under a second name: {copies:?}"
+    );
 
     // Warm pass: a fresh handle over the populated directory must serve
     // every artifact — trace, profile, spawn tables, baselines, simulation

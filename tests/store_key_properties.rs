@@ -23,7 +23,10 @@ use specmt::store::{Fingerprint, KeyBuilder, StageKey};
 fn trace_key_strategy() -> impl Strategy<Value = StageKey> {
     (any::<u64>(), any::<u64>(), 1u64..1_000_000).prop_map(|(a, b, budget)| {
         KeyBuilder::new("trace")
-            .component("program", [a.to_le_bytes(), b.to_le_bytes()].concat().as_slice())
+            .component(
+                "program",
+                [a.to_le_bytes(), b.to_le_bytes()].concat().as_slice(),
+            )
             .component("step-budget", &budget)
             .component("checksum", &(a ^ b))
             .code_rev(1)
@@ -33,7 +36,12 @@ fn trace_key_strategy() -> impl Strategy<Value = StageKey> {
 
 fn profile_config_strategy() -> impl Strategy<Value = ProfileConfig> {
     (
-        (0.0f64..1.0, 1.0f64..512.0, prop::option::of(32.0f64..4096.0), 0.0f64..1.0),
+        (
+            0.0f64..1.0,
+            1.0f64..512.0,
+            prop::option::of(32.0f64..4096.0),
+            0.0f64..1.0,
+        ),
         (0usize..3, any::<bool>(), 1usize..64, 1usize..512),
     )
         .prop_map(

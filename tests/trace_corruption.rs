@@ -98,8 +98,5 @@ fn huge_record_count_is_rejected_without_allocating() {
     let mut evil = data.clone();
     evil[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     let err = Trace::read_from(&evil[..]).expect_err("absurd count must not parse");
-    assert!(
-        err.to_string().contains("count"),
-        "unexpected error: {err}"
-    );
+    assert!(err.to_string().contains("count"), "unexpected error: {err}");
 }

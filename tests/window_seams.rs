@@ -87,7 +87,10 @@ fn pin(section: &str, mut cells: Vec<(String, SimResult)>) {
         .collect();
     let got_labels: Vec<&str> = cells.iter().map(|(l, _)| l.as_str()).collect();
     let want_labels: Vec<&str> = golden.iter().map(|(l, _)| l.as_str()).collect();
-    assert_eq!(got_labels, want_labels, "{section}: golden and run cover different cells");
+    assert_eq!(
+        got_labels, want_labels,
+        "{section}: golden and run cover different cells"
+    );
     for ((label, want), (_, got)) in golden.iter().zip(&cells) {
         assert_eq!(got, want, "{label}: diverged from the golden");
     }
@@ -103,7 +106,9 @@ fn batches_smaller_than_fetch_width_are_bit_identical() {
     let mut cells = Vec::new();
     for w in specmt::workloads::suite(Scale::Tiny) {
         let trace = Trace::generate(w.program.clone(), w.step_budget).expect("suite trace");
-        let table = registry.select("profile", &trace, &params).expect("profile selects");
+        let table = registry
+            .select("profile", &trace, &params)
+            .expect("profile selects");
         for fetch_width in 1..=4u32 {
             let mut cfg = SimConfig::paper(16);
             cfg.fetch_width = fetch_width;
@@ -165,7 +170,10 @@ fn violation_squash_on_every_batch_position_is_bit_identical() {
             cells.push((label, r));
         }
     }
-    assert!(any_violation > 0, "the racing pair never violated; the sweep is vacuous");
+    assert!(
+        any_violation > 0,
+        "the racing pair never violated; the sweep is vacuous"
+    );
     pin("violation", cells);
 }
 
@@ -183,14 +191,19 @@ fn adaptive_gates_mid_window_are_bit_identical() {
     for w in specmt::workloads::suite(Scale::Tiny) {
         let trace = Trace::generate(w.program.clone(), w.step_budget).expect("suite trace");
         for scheme in ["conf-gated", "scoreboard"] {
-            let table = registry.select(scheme, &trace, &params).expect("scheme selects");
+            let table = registry
+                .select(scheme, &trace, &params)
+                .expect("scheme selects");
             let label = format!("adaptive/{}/{scheme}", w.name);
             let r = simulate(&label, &trace, &policies, &table);
             any_gated += r.spawns_gated + r.pairs_demoted;
             cells.push((label, r));
         }
     }
-    assert!(any_gated > 0, "no adaptive gate ever fired; mid-window coverage is vacuous");
+    assert!(
+        any_gated > 0,
+        "no adaptive gate ever fired; mid-window coverage is vacuous"
+    );
     pin("adaptive", cells);
 }
 
@@ -218,14 +231,19 @@ fn fault_plans_at_window_seams_are_bit_identical() {
     for w in specmt::workloads::suite(Scale::Tiny) {
         let trace = Trace::generate(w.program.clone(), w.step_budget).expect("suite trace");
         for &scheme in BUILTIN_SCHEME_NAMES.iter().take(3) {
-            let table = registry.select(scheme, &trace, &params).expect("scheme selects");
+            let table = registry
+                .select(scheme, &trace, &params)
+                .expect("scheme selects");
             let label = format!("faults/{}/{scheme}", w.name);
             let r = simulate(&label, &trace, &cfg, &table);
             any_fault += r.fault_forced_squashes + r.fault_dropped_spawns;
             cells.push((label, r));
         }
     }
-    assert!(any_fault > 0, "no fault ever landed; the plan coverage is vacuous");
+    assert!(
+        any_fault > 0,
+        "no fault ever landed; the plan coverage is vacuous"
+    );
     pin("faults", cells);
 }
 
@@ -248,7 +266,10 @@ fn adversarial_table(raw: &[(u32, u32, f64)], len: usize) -> SpawnTable {
 
 fn random_program() -> impl Strategy<Value = specmt::isa::Program> {
     prop::collection::vec(
-        (2u8..7, prop::collection::vec((0u8..4, 1u8..9, 0u8..24), 1..8)),
+        (
+            2u8..7,
+            prop::collection::vec((0u8..4, 1u8..9, 0u8..24), 1..8),
+        ),
         1..4,
     )
     .prop_map(|loops| {
