@@ -27,10 +27,14 @@
 //! ## Trust model
 //!
 //! Stale entries are unreachable by construction (the key is the content
-//! address of the inputs). Corrupt entries are parse-and-reject: traces are
-//! structurally re-validated and checksum-verified by
-//! [`Bench::from_cached`], JSON payloads must parse; any failure falls
-//! through to regeneration, which overwrites the entry.
+//! address of the inputs). Corrupt entries are parse-and-reject: traces must
+//! embed the workload's own program and are structurally re-validated and
+//! checksum-verified by [`Bench::from_cached`], JSON payloads must parse;
+//! any failure counts as a miss and falls through to regeneration, which
+//! overwrites the entry. A trace written in an older container version is
+//! rejected the same way, so a format change needs no `CODE_REV` bump.
+
+use std::sync::Arc;
 
 use specmt_sim::SimConfig;
 use specmt_spawn::{ProfileConfig, SchemeParams, SpawnTable};
@@ -45,14 +49,18 @@ use crate::{Bench, BenchError};
 /// pipeline still runs).
 pub fn trace_stage(workload: &Workload) -> Option<StageKey> {
     let program_json = serde_json::to_vec(&workload.program).ok()?;
-    Some(
-        KeyBuilder::new("trace")
-            .component("program", program_json.as_slice())
-            .component("step-budget", &workload.step_budget)
-            .component("checksum", &workload.expected_checksum)
-            .code_rev(specmt_trace::CODE_REV)
-            .finish(),
-    )
+    Some(trace_key(workload, &program_json))
+}
+
+/// [`trace_stage`] for a workload whose program serializes to
+/// `program_json`.
+fn trace_key(workload: &Workload, program_json: &[u8]) -> StageKey {
+    KeyBuilder::new("trace")
+        .component("program", program_json)
+        .component("step-budget", &workload.step_budget)
+        .component("checksum", &workload.expected_checksum)
+        .code_rev(specmt_trace::CODE_REV)
+        .finish()
 }
 
 /// The profile stage's key: the trace it read plus the `ProfileConfig`
@@ -72,8 +80,8 @@ pub fn profile_stage(trace_key: &StageKey, config: &ProfileConfig) -> StageKey {
 pub fn table_stage(trace_key: &StageKey, identity: &str, params: &SchemeParams) -> StageKey {
     KeyBuilder::new("table")
         .chain("trace-key", trace_key)
-        .component("scheme-identity", identity)
-        .component("scheme-params", params)
+        .cell("scheme-identity", identity)
+        .cell("scheme-params", params)
         .component("spawn-code-rev", &specmt_spawn::CODE_REV)
         .finish()
 }
@@ -92,7 +100,7 @@ pub fn baseline_stage(trace_key: &StageKey) -> StageKey {
 pub fn sim_stage(trace_key: &StageKey, table: &SpawnTable, config: &SimConfig) -> StageKey {
     KeyBuilder::new("simulate")
         .chain("trace-key", trace_key)
-        .component("spawn-table", table)
+        .cell("spawn-table", table)
         .component("sim-config", config)
         .code_rev(specmt_sim::CODE_REV)
         .finish()
@@ -111,9 +119,10 @@ serde::impl_serde_struct!(BaselineDoc { cycles });
 /// under the logical name `label` before generating. Returns the bench and
 /// its trace stage key (`None` when the workload is unkeyable).
 ///
-/// A stored trace is never trusted: it is structurally re-validated and
-/// must reproduce the workload's checksum ([`Bench::from_cached`]); any
-/// failure regenerates and overwrites the entry.
+/// A stored trace is never trusted: its embedded program must be the
+/// workload's, it is structurally re-validated and must reproduce the
+/// workload's checksum ([`Bench::from_cached`]); any failure counts as a
+/// miss and regenerates and overwrites the entry.
 ///
 /// # Errors
 ///
@@ -123,17 +132,21 @@ pub(crate) fn bench_via_store(
     workload: Workload,
     label: &str,
 ) -> Result<(Bench, Option<StageKey>), BenchError> {
-    let Some(tkey) = trace_stage(&workload) else {
+    // One serialization serves both the key and the decoder's program check.
+    let Ok(program_json) = serde_json::to_vec(&workload.program) else {
         return Ok((Bench::from_workload(workload)?, None));
     };
-    if let Some(bytes) = store.get_bytes(Namespace::Trace, label, &tkey) {
-        // Decode straight from the store's buffer: `read_from` would copy
-        // the whole image into a second Vec first.
-        if let Ok(trace) = Trace::from_bytes(&bytes) {
-            if let Ok(bench) = Bench::from_cached(workload.clone(), trace, None) {
-                return Ok((bench, Some(tkey)));
-            }
-        }
+    let tkey = trace_key(&workload, &program_json);
+    let cached = store.get_with(Namespace::Trace, label, &tkey, |bytes| {
+        let program = Arc::new(workload.program.clone());
+        let trace = Trace::from_bytes_with_program(&bytes, &program, &program_json).ok()?;
+        Bench::from_cached(workload.clone(), trace, None).ok()
+    });
+    // Large programs serialize to megabytes; held across trace generation
+    // the JSON would raise peak memory.
+    drop(program_json);
+    if let Some(bench) = cached {
+        return Ok((bench, Some(tkey)));
     }
     let bench = Bench::from_workload(workload)?;
     let mut trace_bytes = Vec::new();

@@ -8,7 +8,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use specmt_bench::BenchCtx;
+use specmt_bench::{figures, BenchCtx, Harness};
 use specmt_sim::SimConfig;
 use specmt_store::{Namespace, Store, StoreConfig, StoreHandle};
 use specmt_workloads::Scale;
@@ -106,13 +106,18 @@ fn warm_loads_are_bit_identical_and_corruption_is_survived() {
         assert!(store.hits(ns) >= 1, "warm {ns:?} load must hit");
     }
 
-    // Corrupted trace entries are ignored and regenerated.
+    // Corrupted trace entries are ignored and regenerated: the entry reads
+    // but is rejected, so it counts as a miss, never as a hit.
     for path in entries_with_ext(&dir, "smtr") {
         fs::write(&path, b"garbage").expect("corrupt trace");
     }
-    let recovered =
-        BenchCtx::load_with("gcc", Scale::Tiny, open(&dir)).expect("load over corrupt trace");
+    let store = open(&dir);
+    let recovered = BenchCtx::load_with("gcc", Scale::Tiny, Arc::clone(&store))
+        .expect("load over corrupt trace");
     assert_eq!(products(&recovered), cold_products);
+    assert_eq!(store.hits(Namespace::Trace), 0);
+    assert_eq!(store.misses(Namespace::Trace), 1);
+    assert_eq!(store.stores(Namespace::Trace), 1);
     for path in entries_with_ext(&dir, "smtr") {
         let len = fs::metadata(&path).expect("trace entry").len();
         assert!(len > 100, "corrupt entry must be rewritten, len {len}");
@@ -219,5 +224,34 @@ fn sim_config_change_invalidates_only_the_simulate_stage() {
     assert_eq!(records[0].stage, "simulate");
     assert_eq!(records[0].changed, vec!["sim-config".to_owned()]);
 
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A later run that only adds cells to a benchmark's sweeps invalidates
+/// nothing: on a fresh store, `fig_adaptation` after `crossinput` computes
+/// new schemes' tables and new tables' results under the names
+/// `crossinput` used, and every earlier entry is still current.
+#[test]
+fn new_cells_from_a_later_run_are_not_invalidations() {
+    let dir = test_dir("new-cells");
+    for id in ["crossinput", "fig_adaptation"] {
+        let store = open(&dir);
+        let h = Harness::load_at_with(Scale::Tiny, Arc::clone(&store)).expect("suite loads");
+        (figures::by_id(id).expect("registered study").build)(&h).expect("study builds");
+        for ns in [
+            Namespace::Trace,
+            Namespace::Profile,
+            Namespace::SpawnTable,
+            Namespace::Analysis,
+            Namespace::SimResult,
+        ] {
+            assert_eq!(
+                store.invalidations(ns),
+                0,
+                "{id}: {ns:?} {:?}",
+                store.invalidation_records()
+            );
+        }
+    }
     let _ = fs::remove_dir_all(&dir);
 }

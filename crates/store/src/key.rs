@@ -20,6 +20,10 @@ pub struct KeyComponent {
     pub name: &'static str,
     /// Digest of that component alone.
     pub digest: StoreKey,
+    /// Whether the component names a cell of a sweep rather than an input
+    /// the entry was derived from (see [`KeyBuilder::cell`]). Not part of
+    /// the digest.
+    pub cell: bool,
 }
 
 /// A finished stage key: the composite digest plus its auditable breakdown.
@@ -50,6 +54,12 @@ impl StageKey {
             }
         }
         changed
+    }
+
+    /// Whether the component called `name` is a sweep cell
+    /// ([`KeyBuilder::cell`]).
+    pub fn is_cell(&self, name: &str) -> bool {
+        self.components.iter().any(|c| c.cell && c.name == name)
     }
 
     /// The serializable sidecar document for this key.
@@ -151,6 +161,21 @@ impl KeyBuilder {
         self.components.push(KeyComponent {
             name,
             digest: v.digest(),
+            cell: false,
+        });
+        self
+    }
+
+    /// Adds a fingerprinted component that picks one cell of a sweep kept
+    /// under a single logical name (a scheme, a spawn table). It keys the
+    /// entry exactly like [`KeyBuilder::component`]; a miss whose nearest
+    /// same-name entry differs only in cell components is a new cell, not
+    /// an invalidation.
+    pub fn cell<F: Fingerprint + ?Sized>(mut self, name: &'static str, v: &F) -> KeyBuilder {
+        self.components.push(KeyComponent {
+            name,
+            digest: v.digest(),
+            cell: true,
         });
         self
     }
@@ -161,6 +186,7 @@ impl KeyBuilder {
         self.components.push(KeyComponent {
             name,
             digest: upstream.key,
+            cell: false,
         });
         self
     }
@@ -227,6 +253,14 @@ mod tests {
         assert_eq!(a.diff(&doc), vec!["y".to_owned(), "z".to_owned()]);
         let doc_missing = key(&[("x", 1)]).to_doc();
         assert_eq!(a.diff(&doc_missing), vec!["y".to_owned()]);
+    }
+
+    #[test]
+    fn cell_flag_keys_like_a_component() {
+        let plain = KeyBuilder::new("t").component("x", &1u64).finish();
+        let cell = KeyBuilder::new("t").cell("x", &1u64).finish();
+        assert_eq!(plain.key, cell.key);
+        assert!(cell.is_cell("x") && !plain.is_cell("x"));
     }
 
     #[test]

@@ -27,11 +27,18 @@
 //! inputs — an *invalidation*, not a cold start — so the per-namespace
 //! invalidation counter ticks and the `.key.json` sidecars are diffed to
 //! name exactly which key components changed (e.g. `["sim-config"]`).
-//! Siblings this very handle wrote don't count: a sweep accumulating many
-//! configurations under one logical name within a single run is expected
-//! growth, not stale state, so only entries inherited from a *previous*
-//! run can be invalidated. (Each invalidated name is counted once per
-//! handle — the first sweep point to discover it.)
+//! Two kinds of sibling are not stale state:
+//!
+//! * entries this very handle wrote — a sweep accumulating many
+//!   configurations under one logical name within a single run;
+//! * entries that differ from the missing key only in its *cell*
+//!   components ([`crate::KeyBuilder::cell`]) — another scheme or spawn
+//!   table of the same benchmark, which an earlier run computed and this
+//!   one simply has not.
+//!
+//! So only a sibling inherited from a previous run that differs in some
+//! input other than the sweep cell counts. (Each invalidated name is
+//! counted once per handle — the first sweep point to discover it.)
 
 use std::collections::HashSet;
 use std::fs;
@@ -333,33 +340,39 @@ impl Store {
         self.ns_dir(ns).join(format!("{name}.{key_hex}.key.json"))
     }
 
-    /// Reads the entry for `key`, or `None` on a miss (absent, unreadable —
-    /// indistinguishable by design; corrupt payloads are the caller's to
-    /// reject, after which regeneration overwrites the entry in place).
+    /// Reads the entry for `key` and hands its payload to `decode`. A hit
+    /// is counted only when `decode` accepts the payload; an entry that
+    /// reads but fails to decode (corrupt, or written in an older format)
+    /// is a miss, after which regeneration overwrites it in place.
     ///
-    /// A miss with same-name siblings inherited from a prior run is
-    /// counted as an invalidation and the sibling sidecars are diffed to
-    /// record which key components changed (siblings this handle wrote
-    /// itself are sweep growth, not stale state).
-    pub fn get_bytes(&self, ns: Namespace, name: &str, key: &StageKey) -> Option<Vec<u8>> {
+    /// An absent entry with same-name siblings inherited from a prior run
+    /// is counted as an invalidation unless the nearest sibling differs
+    /// only in the key's cell components, and its sidecar diff records
+    /// which key components changed (see the module doc).
+    pub fn get_with<T>(
+        &self,
+        ns: Namespace,
+        name: &str,
+        key: &StageKey,
+        decode: impl FnOnce(Vec<u8>) -> Option<T>,
+    ) -> Option<T> {
         if !self.config.enabled {
             return None;
         }
-        let path = self.entry_path(ns, name, key);
-        match fs::read(&path) {
-            Ok(bytes) => {
+        match fs::read(self.entry_path(ns, name, key)).map(decode) {
+            Ok(Some(value)) => {
                 self.counters.hits[ns_index(ns)].fetch_add(1, Ordering::Relaxed);
-                Some(bytes)
+                return Some(value);
             }
-            Err(_) => {
-                self.counters.misses[ns_index(ns)].fetch_add(1, Ordering::Relaxed);
-                self.record_invalidation(ns, name, key);
-                None
-            }
+            // Rejected payload: the key matched, so nothing was invalidated.
+            Ok(None) => {}
+            Err(_) => self.record_invalidation(ns, name, key),
         }
+        self.counters.misses[ns_index(ns)].fetch_add(1, Ordering::Relaxed);
+        None
     }
 
-    /// As [`Store::get_bytes`], deserializing JSON payloads. A payload
+    /// As [`Store::get_with`], deserializing JSON payloads. A payload
     /// that fails to parse (truncation, corruption) is a miss.
     pub fn get_json<T: serde::Deserialize>(
         &self,
@@ -367,8 +380,7 @@ impl Store {
         name: &str,
         key: &StageKey,
     ) -> Option<T> {
-        let bytes = self.get_bytes(ns, name, key)?;
-        serde_json::from_slice(&bytes).ok()
+        self.get_with(ns, name, key, |bytes| serde_json::from_slice(&bytes).ok())
     }
 
     /// Writes `bytes` under `key` atomically (temp file + rename), plus a
@@ -439,8 +451,9 @@ impl Store {
         }
     }
 
-    /// On a miss with siblings present: count an invalidation and diff the
-    /// newest sibling sidecars against `key` to name what changed.
+    /// On a miss with siblings present: diff every sibling's sidecar
+    /// against `key` and, unless the nearest differs only in cell
+    /// components, count an invalidation naming what changed.
     fn record_invalidation(&self, ns: Namespace, name: &str, key: &StageKey) {
         if self
             .session_writes
@@ -452,38 +465,32 @@ impl Store {
             // entries under one name) — not stale state from a prior run.
             return;
         }
-        let mut sibs = self.siblings(ns, name, &key.key.hex());
+        let sibs = self.siblings(ns, name, &key.key.hex());
         if sibs.is_empty() {
             return;
         }
-        self.counters.invalidations[ns_index(ns)].fetch_add(1, Ordering::Relaxed);
-        // Newest few siblings only: a long-lived simresult namespace can
-        // hold dozens of configs per cell, and the nearest ancestor is
-        // almost always recent.
-        sibs.sort_by_key(|(_, path)| {
-            std::cmp::Reverse(
-                fs::metadata(path)
-                    .and_then(|m| m.modified())
-                    .ok()
-                    .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok()),
-            )
-        });
-        let changed = sibs
+        // Nearest sibling: fewest changed inputs outside the sweep cell,
+        // then fewest changed components overall.
+        let stale = |changed: &Vec<String>| changed.iter().filter(|n| !key.is_cell(n)).count();
+        let nearest = sibs
             .iter()
-            .take(8)
             .filter_map(|(hex, _)| {
                 let text = fs::read_to_string(self.sidecar_path(ns, name, hex)).ok()?;
                 let doc: BreakdownDoc = serde_json::from_str(&text).ok()?;
                 Some(key.diff(&doc))
             })
-            .min_by_key(Vec::len)
-            .unwrap_or_default();
+            .min_by_key(|changed| (stale(changed), changed.len()));
+        if nearest.as_ref().is_some_and(|changed| stale(changed) == 0) {
+            // Another cell of the same sweep, computed by an earlier run.
+            return;
+        }
+        self.counters.invalidations[ns_index(ns)].fetch_add(1, Ordering::Relaxed);
         if let Ok(mut records) = self.invalidations.lock() {
             records.push(InvalidationRecord {
                 namespace: ns.dir_name().to_owned(),
                 name: name.to_owned(),
                 stage: key.stage.to_owned(),
-                changed,
+                changed: nearest.unwrap_or_default(),
             });
         }
     }
@@ -511,8 +518,8 @@ impl Store {
         self.counters.stores[ns_index(ns)].load(Ordering::Relaxed)
     }
 
-    /// Misses for `ns` that found same-name siblings from a prior run
-    /// (one per invalidated name — see [`Store::get_bytes`]).
+    /// Misses for `ns` that found stale same-name siblings from a prior
+    /// run (one per invalidated name — see [`Store::get_with`]).
     pub fn invalidations(&self, ns: Namespace) -> u64 {
         self.counters.invalidations[ns_index(ns)].load(Ordering::Relaxed)
     }
@@ -820,10 +827,12 @@ mod tests {
         let scratch = Scratch::new("roundtrip");
         let store = scratch.store();
         let key = k("trace", 1);
-        assert_eq!(store.get_bytes(Namespace::Trace, "a-tiny", &key), None);
+        assert_eq!(store.get_with(Namespace::Trace, "a-tiny", &key, Some), None);
         store.put_bytes(Namespace::Trace, "a-tiny", &key, b"payload");
         assert_eq!(
-            store.get_bytes(Namespace::Trace, "a-tiny", &key).as_deref(),
+            store
+                .get_with(Namespace::Trace, "a-tiny", &key, Some)
+                .as_deref(),
             Some(&b"payload"[..])
         );
         assert_eq!(store.hits(Namespace::Trace), 1);
@@ -842,7 +851,7 @@ mod tests {
         });
         let key = k("trace", 1);
         store.put_bytes(Namespace::Trace, "a", &key, b"x");
-        assert_eq!(store.get_bytes(Namespace::Trace, "a", &key), None);
+        assert_eq!(store.get_with(Namespace::Trace, "a", &key, Some), None);
         assert!(fs::read_dir(&scratch.0).expect("scratch").next().is_none());
         assert_eq!(store.misses(Namespace::Trace), 0, "disabled: no counting");
     }
@@ -887,6 +896,38 @@ mod tests {
     }
 
     #[test]
+    fn sibling_differing_only_in_cells_is_a_new_cell() {
+        let scratch = Scratch::new("cells");
+        let key = |table: u64, config: u64| {
+            KeyBuilder::new("simulate")
+                .component("trace-key", &7u64)
+                .cell("spawn-table", &table)
+                .component("sim-config", &config)
+                .finish()
+        };
+        scratch
+            .store()
+            .put_json(Namespace::SimResult, "a-tiny", &key(1, 1), &1u64);
+        // A later run asks for another table under the same config: a new
+        // cell of the sweep, not an invalidation.
+        let store = scratch.store();
+        assert_eq!(
+            store.get_json::<u64>(Namespace::SimResult, "a-tiny", &key(2, 1)),
+            None
+        );
+        assert_eq!(store.invalidations(Namespace::SimResult), 0);
+        // An input outside the cell changed as well: stale.
+        let store = scratch.store();
+        assert_eq!(
+            store.get_json::<u64>(Namespace::SimResult, "a-tiny", &key(2, 2)),
+            None
+        );
+        assert_eq!(store.invalidations(Namespace::SimResult), 1);
+        let records = store.invalidation_records();
+        assert_eq!(records[0].changed, vec!["spawn-table", "sim-config"]);
+    }
+
+    #[test]
     fn supersede_removes_old_keys_only_in_unique_namespaces() {
         let scratch = Scratch::new("supersede");
         let store = scratch.store();
@@ -894,8 +935,10 @@ mod tests {
         let k2 = k("trace", 2);
         store.put_bytes(Namespace::Trace, "a-tiny", &k1, b"old");
         store.put_bytes(Namespace::Trace, "a-tiny", &k2, b"new");
-        assert_eq!(store.get_bytes(Namespace::Trace, "a-tiny", &k1), None);
-        assert!(store.get_bytes(Namespace::Trace, "a-tiny", &k2).is_some());
+        assert_eq!(store.get_with(Namespace::Trace, "a-tiny", &k1, Some), None);
+        assert!(store
+            .get_with(Namespace::Trace, "a-tiny", &k2, Some)
+            .is_some());
         // SimResult accumulates: sweeps keep many configs per cell.
         let s1 = k("simulate", 1);
         let s2 = k("simulate", 2);
@@ -929,6 +972,10 @@ mod tests {
             store.get_json::<u64>(Namespace::Profile, "a-tiny", &key),
             None
         );
+        // The entry read but was rejected: a miss, never a hit.
+        assert_eq!(store.hits(Namespace::Profile), 0);
+        assert_eq!(store.misses(Namespace::Profile), 1);
+        assert_eq!(store.invalidations(Namespace::Profile), 0);
     }
 
     #[test]
@@ -1006,7 +1053,7 @@ mod tests {
         let store = scratch.store();
         let key = k("trace", 1);
         store.put_bytes(Namespace::Trace, "a-tiny", &key, b"x");
-        let _ = store.get_bytes(Namespace::Trace, "a-tiny", &key);
+        let _ = store.get_with(Namespace::Trace, "a-tiny", &key, Some);
         let m = store.metrics();
         assert_eq!(m.counters.len(), 20);
         assert_eq!(m.counter("store_trace_hits"), 1);
@@ -1020,7 +1067,7 @@ mod tests {
         let store = scratch.store();
         let key = k("trace", 1);
         store.put_bytes(Namespace::Trace, "a-tiny", &key, b"x");
-        let _ = store.get_bytes(Namespace::Trace, "a-tiny", &key);
+        let _ = store.get_with(Namespace::Trace, "a-tiny", &key, Some);
         store.persist_last_run();
         let reopened = Store::open(StoreConfig::at(&scratch.0));
         let last = reopened.load_last_run().expect("stats present");

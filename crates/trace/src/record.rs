@@ -151,7 +151,7 @@ impl Trace {
     /// trailing bits of the last `taken` word are masked off so equal traces
     /// compare equal regardless of serialization history.
     pub(crate) fn from_columns(
-        program: Program,
+        program: Arc<Program>,
         pcs: Vec<u32>,
         mut taken: Vec<u64>,
         addrs: Vec<u64>,
@@ -167,7 +167,7 @@ impl Trace {
             }
         }
         Trace {
-            program: Arc::new(program),
+            program,
             pcs,
             taken,
             addrs,
